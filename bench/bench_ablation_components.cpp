@@ -45,10 +45,9 @@ int main(int argc, char** argv) {
   };
   std::vector<Result> results;
   for (const Variant& v : variants) {
-    // make_policy derives stop.enabled from the PolicyKind, so the
-    // fixed-length variants must go through kHarlFixedLength.
-    PolicyKind kind = v.adaptive ? PolicyKind::kHarl : PolicyKind::kHarlFixedLength;
-    SearchOptions opts = args.options(kind);
+    // The registered factory sets stop.enabled from the policy name, so the
+    // fixed-length variants must go through "Hierarchical-RL".
+    SearchOptions opts = args.options(v.adaptive ? "HARL" : "Hierarchical-RL");
     opts.harl.use_sketch_mab = v.sketch_mab;
     opts.harl.use_rl_policy = v.rl_policy;
     TuningSession session(gemm, HardwareConfig::xeon_6226r(), opts);

@@ -24,16 +24,14 @@ int main(int argc, char** argv) {
               (long long)trials, args.paper ? "paper" : "quick");
 
   struct Run {
-    PolicyKind kind;
+    std::string policy;
     double best_ms = 0;
     std::vector<CurvePoint> curve;
     std::vector<double> critical;
   };
-  std::vector<Run> runs = {{PolicyKind::kAnsor},
-                           {PolicyKind::kHarlFixedLength},
-                           {PolicyKind::kHarl}};
+  std::vector<Run> runs = {{"Ansor"}, {"Hierarchical-RL"}, {"HARL"}};
   for (Run& r : runs) {
-    TuningSession session(gemm, HardwareConfig::xeon_6226r(), args.options(r.kind));
+    TuningSession session(gemm, HardwareConfig::xeon_6226r(), args.options(r.policy));
     session.run(trials);
     r.best_ms = session.task_best_ms(0);
     r.curve = session.scheduler().task(0).curve();
@@ -45,7 +43,7 @@ int main(int argc, char** argv) {
 
   Table curve_table("Figure 7(a): normalized performance vs trials");
   std::vector<std::string> header = {"trials"};
-  for (const Run& r : runs) header.push_back(policy_kind_name(r.kind));
+  for (const Run& r : runs) header.push_back(r.policy);
   curve_table.set_header(header);
   for (std::int64_t t = trials / 10; t <= trials; t += trials / 10) {
     std::vector<std::string> row = {std::to_string(t)};
@@ -60,7 +58,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nFinal bests: ");
   for (const Run& r : runs) {
-    std::printf("%s=%.4f ms  ", policy_kind_name(r.kind), r.best_ms);
+    std::printf("%s=%.4f ms  ", r.policy.c_str(), r.best_ms);
   }
   std::printf("\n\nFigure 7(b): critical-step position histograms\n");
   const char* labels[2] = {"Fixed-Length", "Adaptive-Stopping"};

@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
   bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   const int rounds = args.trials > 0 ? static_cast<int>(args.trials) : 40;
 
-  SearchOptions opts = args.options(PolicyKind::kHarl);
+  SearchOptions opts = args.options("HARL");
   opts.harl.stop.initial_tracks = 8;
   opts.harl.stop.min_tracks = 2;
   opts.harl.ppo.minibatch_size = 16;

@@ -50,8 +50,8 @@ struct BenchArgs {
     return args;
   }
 
-  SearchOptions options(PolicyKind kind) const {
-    return paper ? paper_options(kind, seed) : quick_options(kind, seed);
+  SearchOptions options(const std::string& policy) const {
+    return paper ? paper_options(policy, seed) : quick_options(policy, seed);
   }
 
   void maybe_save(const Table& table, const std::string& name) const {

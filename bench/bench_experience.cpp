@@ -46,7 +46,7 @@ struct WorkloadResult {
 
 /// One donor run with record logging; returns the log path.
 std::string donor_run(const Subgraph& graph, const HardwareConfig& hw,
-                      PolicyKind policy, std::uint64_t seed, std::int64_t trials,
+                      const std::string& policy, std::uint64_t seed, std::int64_t trials,
                       const std::string& dir, const std::string& stem) {
   SearchOptions opts = quick_options(policy, seed);
   TuningSession session(graph, hw, opts);
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     r.name = oc.suite + " " + oc.config;
 
     // 1. cold baseline.
-    SearchOptions cold_opts = quick_options(PolicyKind::kHarl, args.seed);
+    SearchOptions cold_opts = quick_options("HARL", args.seed);
     TuningSession cold(oc.graph, hw, cold_opts);
     cold.run(trials);
     r.cold_best = cold.task_best_ms(0);
@@ -121,9 +121,9 @@ int main(int argc, char** argv) {
     // 2. donor logs: two different seeds, two different policies — the
     // mixed-provenance case the harvester is specified for.
     std::string stem = "donor_" + std::to_string(c);
-    std::string log_a = donor_run(oc.graph, hw, PolicyKind::kHarl,
+    std::string log_a = donor_run(oc.graph, hw, "HARL",
                                   args.seed + 101, trials, dir, stem + "_a");
-    std::string log_b = donor_run(oc.graph, hw, PolicyKind::kAnsor,
+    std::string log_b = donor_run(oc.graph, hw, "Ansor",
                                   args.seed + 202, trials, dir, stem + "_b");
 
     // 3. compact + harvest (originals and compactions together: the dedup

@@ -22,7 +22,7 @@ namespace {
 void figure_1a(const BenchArgs& args) {
   std::int64_t trials = args.trials > 0 ? args.trials : (args.paper ? 3000 : 800);
   Network bert = make_bert(1);
-  SearchOptions opts = args.options(PolicyKind::kAnsor);  // greedy allocation
+  SearchOptions opts = args.options("Ansor");  // greedy allocation
   TuningSession session(std::move(bert), HardwareConfig::xeon_6226r(), opts);
   session.run(trials);
 
@@ -120,7 +120,7 @@ void figure_1b(const BenchArgs& args) {
 
 void figure_1c(const BenchArgs& args) {
   std::int64_t trials = args.trials > 0 ? args.trials : (args.paper ? 4000 : 1500);
-  SearchOptions opts = args.options(PolicyKind::kFlextensor);
+  SearchOptions opts = args.options("Flextensor");
   Histogram hist(0, 1, 10);
   // Various GEMM operations, as in the paper's observation.
   for (const OperatorCase& c : table6_suite("GEMM-M", 1)) {

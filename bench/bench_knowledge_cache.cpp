@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   Network one;
   one.name = bert1.name;  // keep the (network, task) provenance of the fleet
   one.subgraphs.push_back(*gemm1);
-  SearchOptions opts = quick_options(PolicyKind::kHarl, args.seed);
+  SearchOptions opts = quick_options("HARL", args.seed);
   TuningSession session(one, hw, opts);
   RecordLogger logger;
   const std::string log_path = "bench_kcache.jsonl";

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
       for (const std::string& name : nets) {
         double lat[2] = {0, 0};
         std::vector<TaskScheduler::RoundLog> harl_log;
-        PolicyKind kinds[2] = {PolicyKind::kAnsor, PolicyKind::kHarl};
+        const char* kinds[2] = {"Ansor", "HARL"};
         for (int k = 0; k < 2; ++k) {
           TuningSession session(make_network(name, batch), plat.hw,
                                 args.options(kinds[k]));

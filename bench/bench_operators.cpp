@@ -23,9 +23,9 @@ struct RunResult {
   std::vector<CurvePoint> curve;
 };
 
-RunResult tune(const Subgraph& graph, PolicyKind kind, const BenchArgs& args,
+RunResult tune(const Subgraph& graph, const std::string& policy, const BenchArgs& args,
                std::int64_t trials) {
-  TuningSession session(graph, HardwareConfig::xeon_6226r(), args.options(kind));
+  TuningSession session(graph, HardwareConfig::xeon_6226r(), args.options(policy));
   session.run(trials);
   return {session.task_best_ms(0), session.scheduler().task(0).curve()};
 }
@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
       double time_frac_sum = 0;
       std::int64_t reach_sum = 0;
       for (std::size_t c = 0; c < n_cases; ++c) {
-        RunResult ansor = tune(cases[c].graph, PolicyKind::kAnsor, args, trials);
-        RunResult harl = tune(cases[c].graph, PolicyKind::kHarl, args, trials);
+        RunResult ansor = tune(cases[c].graph, "Ansor", args, trials);
+        RunResult harl = tune(cases[c].graph, "HARL", args, trials);
         double best = std::min(ansor.best_ms, harl.best_ms);
         ansor_norm_sum += normalized_perf(ansor.best_ms, best);
         harl_norm_sum += normalized_perf(harl.best_ms, best);

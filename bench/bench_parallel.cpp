@@ -94,7 +94,7 @@ bool bench_determinism(const bench::BenchArgs& args) {
   std::int64_t trials = args.trials > 0 ? args.trials : 200;
 
   auto run_one = [&](ThreadPool* pool) {
-    SearchOptions opts = args.options(PolicyKind::kHarl);
+    SearchOptions opts = args.options("HARL");
     opts.pool = pool;
     TuningSession session(make_bert(1), HardwareConfig::xeon_6226r(), opts);
     session.run(trials);

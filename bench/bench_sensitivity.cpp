@@ -30,8 +30,8 @@ Outcome run(const BenchArgs& args, std::int64_t trials, int lambda, double rho) 
   double inv_best_sum = 0;
   for (int s = 0; s < kSeeds; ++s) {
     SearchOptions opts = args.paper
-                             ? paper_options(PolicyKind::kHarl, args.seed + s)
-                             : quick_options(PolicyKind::kHarl, args.seed + s);
+                             ? paper_options("HARL", args.seed + s)
+                             : quick_options("HARL", args.seed + s);
     opts.harl.stop.window = lambda;
     opts.harl.stop.elimination = rho;
     TuningSession session(make_gemm(1024, 1024, 1024), HardwareConfig::xeon_6226r(),

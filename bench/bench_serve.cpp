@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   ServerOptions opts;
   opts.state_dir = "bench_serve_state";
   opts.max_concurrent = 1;
-  opts.tuning = quick_options(PolicyKind::kHarl);
+  opts.tuning = quick_options("HARL");
   HarlServer server(std::move(opts));
   std::string error;
   if (!server.start(&error)) {

@@ -25,16 +25,16 @@ int main(int argc, char** argv) {
   // --- The three tuning runs ------------------------------------------------
   // Ansor baseline (greedy allocation), full HARL, HARL without subgraph MAB
   // (HARL's per-task policy under the greedy allocator).
-  auto run = [&](PolicyKind kind, std::optional<TaskSelectKind> select) {
-    SearchOptions opts = args.options(kind);
-    opts.task_select = select;
+  auto run = [&](const std::string& policy, const std::string& select) {
+    SearchOptions opts = args.options(policy);
+    opts.task_select_name = select;
     auto session = std::make_unique<TuningSession>(make_bert(1), hw, opts);
     session->run(trials);
     return session;
   };
-  auto ansor = run(PolicyKind::kAnsor, std::nullopt);
-  auto harl = run(PolicyKind::kHarl, std::nullopt);
-  auto harl_nomab = run(PolicyKind::kHarl, TaskSelectKind::kGreedyGradient);
+  auto ansor = run("Ansor", "");
+  auto harl = run("HARL", "");
+  auto harl_nomab = run("HARL", "greedy-gradient");
 
   const Network& net = harl->network();
   int n = harl->scheduler().num_tasks();

@@ -60,7 +60,7 @@ struct PolicyResult {
 
 /// One donor run with record logging; returns the log path.
 std::string donor_run(const Subgraph& graph, const HardwareConfig& hw,
-                      PolicyKind policy, std::uint64_t seed, std::int64_t trials,
+                      const std::string& policy, std::uint64_t seed, std::int64_t trials,
                       const std::string& dir, const std::string& stem) {
   SearchOptions opts = quick_options(policy, seed);
   TuningSession session(graph, hw, opts);
@@ -130,9 +130,9 @@ int main(int argc, char** argv) {
   };
 
   // Donor logs + both offline models, shared by every policy's guided run.
-  std::string log_a = donor_run(oc.graph, hw, PolicyKind::kHarl,
+  std::string log_a = donor_run(oc.graph, hw, "HARL",
                                 args.seed + 101, trials, dir, "donor_a");
-  std::string log_b = donor_run(oc.graph, hw, PolicyKind::kAnsor,
+  std::string log_b = donor_run(oc.graph, hw, "Ansor",
                                 args.seed + 202, trials, dir, "donor_b");
   ExperienceStore store;
   store.add_log(log_a);
@@ -167,21 +167,21 @@ int main(int argc, char** argv) {
   // Per-policy beam widths: HARL prunes its 32-track episode to 24; AutoTVM
   // keeps all 32 walkers (beam = walker count) and economizes through the
   // trial filter alone.
-  auto guided_options = [&](PolicyKind policy) {
+  auto guided_options = [&](const std::string& policy) {
     SearchOptions opts = quick_options(policy, args.seed);
     opts.experience_model = xpath;
     opts.value_guide.enabled = true;
     opts.value_guide.model_path = vpath;
-    opts.value_guide.beam_width = policy == PolicyKind::kHarl ? 24 : 32;
+    opts.value_guide.beam_width = policy == "HARL" ? 24 : 32;
     opts.value_guide.sample_clusters = 8;
     return opts;
   };
 
-  std::vector<PolicyKind> policies = {PolicyKind::kHarl, PolicyKind::kAutoTvmSa};
+  std::vector<std::string> policies = {"HARL", "AutoTVM-SA"};
   std::vector<PolicyResult> results;
-  for (PolicyKind policy : policies) {
+  for (const std::string& policy : policies) {
     PolicyResult r;
-    r.policy = policy_kind_name(policy);
+    r.policy = policy;
 
     // 1. cold baseline: its final best is the target quality.
     SearchOptions cold_opts = quick_options(policy, args.seed);
@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
 
   // Determinism gate A: guided serial-vs-parallel bit-identity.
   auto guided_run = [&](ThreadPool* pool) {
-    SearchOptions opts = guided_options(PolicyKind::kHarl);
+    SearchOptions opts = guided_options("HARL");
     opts.pool = pool;
     TuningSession session(oc.graph, hw, opts);
     session.run(trials);
@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
   {
     std::string glog = dir + "/guided.jsonl";
     std::remove(glog.c_str());
-    SearchOptions opts = guided_options(PolicyKind::kHarl);
+    SearchOptions opts = guided_options("HARL");
     TuningSession full(oc.graph, hw, opts);
     RecordLogger logger;
     if (!logger.open(glog, /*append=*/false)) {

@@ -72,7 +72,7 @@ int main() {
 
   // --- Tune it ---------------------------------------------------------------
   TuningSession session(mlp, HardwareConfig::xeon_6226r(),
-                        quick_options(PolicyKind::kHarl));
+                        quick_options("HARL"));
   session.run(200);
   std::printf("\nbest simulated time: %.4f ms after %lld trials\n",
               session.task_best_ms(0),

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     FleetWorkload w;
     w.network = make_network(name, /*batch=*/1);
     w.hardware = cpu;
-    w.options = quick_options(PolicyKind::kHarl, /*seed=*/42);
+    w.options = quick_options("HARL", /*seed=*/42);
     w.trials = trials;
     fleet.add(std::move(w));
   }

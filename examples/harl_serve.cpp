@@ -93,7 +93,7 @@ void handle_signal(int) {
 
 int main(int argc, char** argv) {
   ServerOptions opts;
-  opts.tuning = quick_options(PolicyKind::kHarl);
+  opts.tuning = quick_options("HARL");
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {

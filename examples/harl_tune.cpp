@@ -9,8 +9,11 @@
 /// "gemm:MxKxN" for an ad-hoc matmul.
 ///
 ///   example_harl_tune --workload gemm:1024x1024x1024 --trials 400
-///   example_harl_tune --workload bert --policy ansor --trials 800
+///   example_harl_tune --workload bert --policy Ansor --trials 800
 ///   example_harl_tune --workload C2D --hw gpu --loop-nest
+///
+/// --policy takes any PolicyRegistry name, case-insensitively (HARL,
+/// Hierarchical-RL, Ansor, Flextensor, AutoTVM-SA, Random).
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,16 +27,6 @@
 using namespace harl;
 
 namespace {
-
-std::optional<PolicyKind> parse_policy(const std::string& name) {
-  if (name == "harl") return PolicyKind::kHarl;
-  if (name == "hierarchical-rl") return PolicyKind::kHarlFixedLength;
-  if (name == "ansor") return PolicyKind::kAnsor;
-  if (name == "flextensor") return PolicyKind::kFlextensor;
-  if (name == "autotvm") return PolicyKind::kAutoTvmSa;
-  if (name == "random") return PolicyKind::kRandom;
-  return std::nullopt;
-}
 
 std::optional<Network> parse_workload(const std::string& name, std::int64_t batch) {
   for (const std::string& net : network_names()) {
@@ -64,7 +57,7 @@ std::optional<Network> parse_workload(const std::string& name, std::int64_t batc
 
 int main(int argc, char** argv) {
   std::string workload = "gemm:512x512x512";
-  std::string policy_name = "harl";
+  std::string policy_name = "HARL";
   std::string hw_name = "cpu";
   std::int64_t trials = 300;
   std::int64_t batch = 1;
@@ -90,8 +83,7 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--loop-nest")) show_loop_nest = true;
     else {
       std::printf(
-          "usage: %s [--workload NAME] [--policy harl|hierarchical-rl|ansor|"
-          "flextensor|autotvm|random]\n"
+          "usage: %s [--workload NAME] [--policy NAME]\n"
           "          [--trials N] [--hw cpu|gpu] [--batch N] [--seed S] "
           "[--paper] [--loop-nest]\n",
           argv[0]);
@@ -99,9 +91,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::optional<PolicyKind> kind = parse_policy(policy_name);
-  if (!kind) {
-    std::fprintf(stderr, "unknown policy '%s'\n", policy_name.c_str());
+  if (!PolicyRegistry::instance().contains(policy_name)) {
+    std::fprintf(stderr, "unknown policy \"%s\"; registered policies:\n",
+                 policy_name.c_str());
+    for (const std::string& n : PolicyRegistry::instance().names()) {
+      std::fprintf(stderr, "  %s\n", n.c_str());
+    }
     return 2;
   }
   std::optional<Network> net = parse_workload(workload, batch);
@@ -113,10 +108,11 @@ int main(int argc, char** argv) {
   }
   HardwareConfig hw =
       hw_name == "gpu" ? HardwareConfig::rtx3090() : HardwareConfig::xeon_6226r();
-  SearchOptions opts = paper ? paper_options(*kind, seed) : quick_options(*kind, seed);
+  SearchOptions opts =
+      paper ? paper_options(policy_name, seed) : quick_options(policy_name, seed);
 
   std::printf("tuning %s on %s with %s, %lld trials...\n\n", net->name.c_str(),
-              hw.name.c_str(), policy_kind_name(*kind), (long long)trials);
+              hw.name.c_str(), policy_name.c_str(), (long long)trials);
   TuningSession session(std::move(*net), hw, opts);
   session.run(trials);
 

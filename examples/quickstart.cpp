@@ -20,7 +20,7 @@ int main() {
 
   // 3. Tune with HARL (hierarchical RL + adaptive stopping, Table 5 defaults
   //    at laptop scale; use paper_options(...) for the full-size settings).
-  TuningSession session(gemm, cpu, quick_options(PolicyKind::kHarl));
+  TuningSession session(gemm, cpu, quick_options("HARL"));
   session.run(/*trials=*/300);
 
   // 4. Inspect the result.

@@ -250,9 +250,7 @@ int main(int argc, char** argv) {
       }
       return 1;
     }
-    SearchOptions opts = quick_options(PolicyKind::kHarl, seed);
-    opts.policy_name = policy_name;
-    if (auto kind = policy_kind_from_name(policy_name)) opts.policy = *kind;
+    SearchOptions opts = quick_options(policy_name, seed);
     opts.experience_model = model_path;
     opts.async_callbacks.enabled = async_callbacks;
     if (!value_model_path.empty() || sample_clusters > 0) {
@@ -471,9 +469,9 @@ int main(int argc, char** argv) {
   std::printf("Tuning %s (batch 1) with %lld trials per scheduler...\n\n",
               net.name.c_str(), static_cast<long long>(trials));
 
-  TuningSession ansor(net, cpu, quick_options(PolicyKind::kAnsor, seed));
+  TuningSession ansor(net, cpu, quick_options("Ansor", seed));
   ansor.run(trials);
-  TuningSession harl(net, cpu, quick_options(PolicyKind::kHarl, seed));
+  TuningSession harl(net, cpu, quick_options("HARL", seed));
   harl.run(trials);
 
   Table table(net.name + " per-subgraph results");

@@ -2,9 +2,9 @@
 
 namespace harl {
 
-SearchOptions paper_options(PolicyKind policy, std::uint64_t seed) {
+SearchOptions paper_options(const std::string& policy, std::uint64_t seed) {
   SearchOptions opts;
-  opts.policy = policy;
+  opts.policy_name = policy;
   opts.seed = seed;
   // Table 5 defaults are already encoded in the config structs' defaults;
   // restate the scale knobs explicitly for clarity.
@@ -23,7 +23,7 @@ SearchOptions paper_options(PolicyKind policy, std::uint64_t seed) {
   return opts;
 }
 
-SearchOptions quick_options(PolicyKind policy, std::uint64_t seed) {
+SearchOptions quick_options(const std::string& policy, std::uint64_t seed) {
   SearchOptions opts = paper_options(policy, seed);
   opts.harl.stop.window = 10;
   opts.harl.stop.min_tracks = 8;

@@ -22,7 +22,8 @@ namespace harl {
 /// while preserving every algorithmic property; all learning-rate/UCB/
 /// gradient hyper-parameters stay at the paper values.  Benchmarks use this
 /// preset by default and accept `--paper` to switch.
-SearchOptions quick_options(PolicyKind policy, std::uint64_t seed = 42);
-SearchOptions paper_options(PolicyKind policy, std::uint64_t seed = 42);
+/// `policy` is a `PolicyRegistry` name and becomes `policy_name`.
+SearchOptions quick_options(const std::string& policy, std::uint64_t seed = 42);
+SearchOptions paper_options(const std::string& policy, std::uint64_t seed = 42);
 
 }  // namespace harl

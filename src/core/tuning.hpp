@@ -24,7 +24,7 @@ namespace harl {
 /// This is the library's primary entry point:
 ///
 ///   TuningSession session(make_bert(1), HardwareConfig::xeon_6226r(),
-///                         quick_options(PolicyKind::kHarl));
+///                         quick_options("HARL"));
 ///   session.run(2000);
 ///   double latency = session.scheduler().estimated_latency_ms();
 ///

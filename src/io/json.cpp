@@ -94,15 +94,20 @@ std::uint64_t Value::as_uint64(std::uint64_t fallback) const {
 }
 
 void Value::set(std::string key, Value v) {
+  for (auto& kv : members_) {
+    if (kv.first == key) {
+      kv.second = std::move(v);
+      return;
+    }
+  }
   members_.emplace_back(std::move(key), std::move(v));
 }
 
 const Value* Value::find(const std::string& key) const {
-  const Value* found = nullptr;
   for (const auto& kv : members_) {
-    if (kv.first == key) found = &kv.second;
+    if (kv.first == key) return &kv.second;
   }
-  return found;
+  return nullptr;
 }
 
 std::string Value::dump() const {

@@ -56,12 +56,14 @@ class Value {
   const std::vector<Value>& items() const { return items_; }
   void push_back(Value v) { items_.push_back(std::move(v)); }
 
-  std::vector<std::pair<std::string, Value>>& members() { return members_; }
   const std::vector<std::pair<std::string, Value>>& members() const {
     return members_;
   }
+  /// Sets member `key`: replaces its value in place (the member keeps its
+  /// position) when present, else appends it.  An object never holds a key
+  /// twice, so parsed duplicate keys resolve last-one-wins.
   void set(std::string key, Value v);
-  /// Last member with `key` (duplicate keys: last one wins), or nullptr.
+  /// The member with `key`, or nullptr.
   const Value* find(const std::string& key) const;
 
   /// Compact one-line serialization (no spaces), member order preserved.

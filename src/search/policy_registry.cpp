@@ -22,45 +22,52 @@ std::string lowercase(const std::string& s) {
   return out;
 }
 
-/// The shipped policies, registered with the names `policy_kind_name`
-/// returns so enum-based and name-based configuration stay interchangeable.
+/// The shipped policies, each with its default task selector: HARL's SW-UCB
+/// bandit, Ansor's greedy gradient, and round-robin for the other baselines.
 void register_builtins(PolicyRegistry& reg) {
-  reg.register_policy(policy_kind_name(PolicyKind::kHarl),
+  reg.register_policy("HARL",
                       [](TaskState* task, const SearchOptions& opts) {
                         HarlConfig cfg = opts.harl;
                         cfg.stop.enabled = true;
                         cfg.seed ^= opts.seed;
                         return std::make_unique<HarlSearchPolicy>(task, cfg);
-                      });
-  reg.register_policy(policy_kind_name(PolicyKind::kHarlFixedLength),
+                      },
+                      "sw-ucb");
+  // HARL without adaptive stopping (the Figure 7 ablation).
+  reg.register_policy("Hierarchical-RL",
                       [](TaskState* task, const SearchOptions& opts) {
                         HarlConfig cfg = opts.harl;
                         cfg.stop.enabled = false;
                         cfg.seed ^= opts.seed;
                         return std::make_unique<HarlSearchPolicy>(task, cfg);
-                      });
-  reg.register_policy(policy_kind_name(PolicyKind::kAnsor),
+                      },
+                      "sw-ucb");
+  reg.register_policy("Ansor",
                       [](TaskState* task, const SearchOptions& opts) {
                         AnsorConfig cfg = opts.ansor;
                         cfg.seed ^= opts.seed;
                         return std::make_unique<AnsorSearchPolicy>(task, cfg);
-                      });
-  reg.register_policy(policy_kind_name(PolicyKind::kFlextensor),
+                      },
+                      "greedy-gradient");
+  reg.register_policy("Flextensor",
                       [](TaskState* task, const SearchOptions& opts) {
                         FlextensorConfig cfg = opts.flextensor;
                         cfg.seed ^= opts.seed;
                         return std::make_unique<FlextensorSearchPolicy>(task, cfg);
-                      });
-  reg.register_policy(policy_kind_name(PolicyKind::kAutoTvmSa),
+                      },
+                      "round-robin");
+  reg.register_policy("AutoTVM-SA",
                       [](TaskState* task, const SearchOptions& opts) {
                         AutoTvmConfig cfg = opts.autotvm;
                         cfg.seed ^= opts.seed;
                         return std::make_unique<AutoTvmSearchPolicy>(task, cfg);
-                      });
-  reg.register_policy(policy_kind_name(PolicyKind::kRandom),
+                      },
+                      "round-robin");
+  reg.register_policy("Random",
                       [](TaskState* task, const SearchOptions& opts) {
                         return std::make_unique<RandomSearchPolicy>(task, opts.seed);
-                      });
+                      },
+                      "round-robin");
 }
 
 }  // namespace
@@ -74,11 +81,13 @@ PolicyRegistry& PolicyRegistry::instance() {
   return *reg;
 }
 
-bool PolicyRegistry::register_policy(const std::string& name, Factory factory) {
+bool PolicyRegistry::register_policy(const std::string& name, Factory factory,
+                                     std::string default_selector) {
   if (name.empty() || !factory) return false;
+  if (default_selector.empty()) default_selector = "sw-ucb";
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] =
-      entries_.emplace(lowercase(name), Entry{name, std::move(factory)});
+  auto [it, inserted] = entries_.emplace(
+      lowercase(name), Entry{name, std::move(factory), std::move(default_selector)});
   (void)it;
   return inserted;
 }
@@ -86,6 +95,12 @@ bool PolicyRegistry::register_policy(const std::string& name, Factory factory) {
 bool PolicyRegistry::contains(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.count(lowercase(name)) > 0;
+}
+
+std::string PolicyRegistry::default_selector(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(lowercase(name));
+  return it == entries_.end() ? "sw-ucb" : it->second.default_selector;
 }
 
 std::unique_ptr<SearchPolicy> PolicyRegistry::create(
@@ -109,6 +124,14 @@ std::vector<std::string> PolicyRegistry::names() const {
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::optional<std::string> policy_kind_from_name(const std::string& name) {
+  const std::string key = lowercase(name);
+  for (std::string& canonical : PolicyRegistry::instance().names()) {
+    if (lowercase(canonical) == key) return canonical;
+  }
+  return std::nullopt;
 }
 
 }  // namespace harl

@@ -1,7 +1,6 @@
 #include "search/task_scheduler.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -13,48 +12,10 @@
 
 namespace harl {
 
-const char* policy_kind_name(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kHarl: return "HARL";
-    case PolicyKind::kHarlFixedLength: return "Hierarchical-RL";
-    case PolicyKind::kAnsor: return "Ansor";
-    case PolicyKind::kFlextensor: return "Flextensor";
-    case PolicyKind::kAutoTvmSa: return "AutoTVM-SA";
-    case PolicyKind::kRandom: return "Random";
-  }
-  return "?";
-}
-
-std::optional<PolicyKind> policy_kind_from_name(const std::string& name) {
-  auto eq_ci = [](const std::string& a, const char* b) {
-    std::size_t i = 0;
-    for (; i < a.size() && b[i] != '\0'; ++i) {
-      if (std::tolower(static_cast<unsigned char>(a[i])) !=
-          std::tolower(static_cast<unsigned char>(b[i]))) {
-        return false;
-      }
-    }
-    return i == a.size() && b[i] == '\0';
-  };
-  static constexpr PolicyKind kAll[] = {
-      PolicyKind::kHarl,       PolicyKind::kHarlFixedLength,
-      PolicyKind::kAnsor,      PolicyKind::kFlextensor,
-      PolicyKind::kAutoTvmSa,  PolicyKind::kRandom,
-  };
-  for (PolicyKind kind : kAll) {
-    if (eq_ci(name, policy_kind_name(kind))) return kind;
-  }
-  return std::nullopt;
-}
-
 std::string SearchOptions::effective_task_select_name() const {
-  return task_select_name.empty() ? task_select_kind_name(effective_task_select())
-                                  : task_select_name;
-}
-
-std::unique_ptr<SearchPolicy> make_policy(PolicyKind kind, TaskState* task,
-                                          const SearchOptions& opts) {
-  return make_policy(std::string(policy_kind_name(kind)), task, opts);
+  return task_select_name.empty()
+             ? PolicyRegistry::instance().default_selector(policy_name)
+             : task_select_name;
 }
 
 std::unique_ptr<SearchPolicy> make_policy(const std::string& name, TaskState* task,
@@ -140,7 +101,7 @@ TaskScheduler::TaskScheduler(const Network* net, const HardwareConfig* hw,
     SearchOptions per_task = opts_;
     per_task.seed = opts_.seed + 1000003ULL * (n + 1);
     policies_.push_back(
-        make_policy(opts_.effective_policy_name(), tasks_.back().get(), per_task));
+        make_policy(opts_.policy_name, tasks_.back().get(), per_task));
   }
   if (opts_.async_callbacks.enabled) {
     async_bus_ =

@@ -3,13 +3,13 @@
 /// \file task_select.hpp
 /// Open task-selection registry (TaskSelectRegistry) and the built-in
 /// rules: greedy argmin-gradient, SW-UCB bandit, round-robin.  Invariant:
-/// name-selected and enum-selected rules run bit-identically.
-/// Collaborators: TaskScheduler, SearchOptions.
+/// a rule is named by its registry name only, and every rule — built-in or
+/// external — is created through the registry.  Collaborators:
+/// TaskScheduler, SearchOptions, PolicyRegistry (per-policy defaults).
 
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,12 +18,10 @@ namespace harl {
 
 class TaskScheduler;
 struct SearchOptions;
-enum class TaskSelectKind;
 
 /// How a tuner distributes measurement trials across subgraphs — the first
-/// level of HARL's hierarchy, pulled out of the scheduler's closed
-/// `TaskSelectKind` switch into an open interface (the same treatment
-/// `SearchPolicy` got with `PolicyRegistry`).
+/// level of HARL's hierarchy (Table 1 column 1), behind an open interface
+/// (the same treatment `SearchPolicy` got with `PolicyRegistry`).
 ///
 /// The scheduler handles warmup itself (every task gets one round before any
 /// selector runs), then calls `select` once per round and `on_round` after
@@ -55,8 +53,8 @@ class TaskSelector {
 ///       "my-allocator", [](int num_tasks, const SearchOptions& opts) {
 ///         return std::make_unique<MyAllocator>(num_tasks, opts.seed);
 ///       });
-///   SearchOptions opts = quick_options(PolicyKind::kHarl);
-///   opts.task_select_name = "my-allocator";   // overrides the enum
+///   SearchOptions opts = quick_options("HARL");
+///   opts.task_select_name = "my-allocator";   // replaces HARL's "sw-ucb"
 ///
 /// Lookup is case-insensitive so names round-trip through command-line
 /// flags.  All methods are thread-safe (`FleetTuner` builds schedulers from
@@ -96,15 +94,6 @@ class TaskSelectRegistry {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;  ///< keyed lowercase
 };
-
-/// Registry name of a built-in selection kind ("greedy-gradient", "sw-ucb",
-/// "round-robin").
-const char* task_select_kind_name(TaskSelectKind kind);
-
-/// Inverse of `task_select_kind_name`, case-insensitive.  std::nullopt for
-/// names that are not built-in kinds (they may still be registered
-/// selectors — check `TaskSelectRegistry`).
-std::optional<TaskSelectKind> task_select_kind_from_name(const std::string& name);
 
 /// Instantiate a selector by registry name.  Throws std::invalid_argument
 /// listing the registered names when `name` is unknown (a bad name is user

@@ -19,6 +19,7 @@
 #include "exp/experience.hpp"
 #include "io/json.hpp"
 #include "io/safe_file.hpp"
+#include "search/policy_registry.hpp"
 #include "util/logging.hpp"
 #include "workloads/networks.hpp"
 
@@ -609,6 +610,11 @@ void HarlServer::dispatch_locked() {
     w.hardware = shard->hw;
     w.options = opts_.tuning;
     w.options.seed = job.seed;
+    // The job's policy replaces the base policy but not the base selector:
+    // every job runs the base options' selector, whatever its policy's
+    // registered default.  The selector is not part of the resume run
+    // identity, so journaled jobs must keep the one they were tuned with.
+    w.options.task_select_name = opts_.tuning.effective_task_select_name();
     if (!job.policy.empty()) w.options.policy_name = job.policy;
     w.trials = job.trials;
 
@@ -793,8 +799,7 @@ Response HarlServer::handle_tune(const Request& req) {
     return error_response("unknown hw preset \"" + req.hw +
                           "\" (xeon, rtx3090, test)");
   }
-  if (!req.policy.empty() &&
-      !policy_kind_from_name(req.policy).has_value()) {
+  if (!req.policy.empty() && !PolicyRegistry::instance().contains(req.policy)) {
     return error_response("unknown policy \"" + req.policy + "\"");
   }
 

@@ -49,7 +49,8 @@ struct ServerOptions {
   /// whole tenant budget).
   std::int64_t max_job_trials = 10000;
   /// Base SearchOptions for every job; the request overrides seed and
-  /// policy.  Restarted daemons must use the same base options — they are
+  /// policy, never the task selector (jobs keep the base options' one).
+  /// Restarted daemons must use the same base options — they are
   /// part of every job's run identity (resume replays nothing otherwise).
   SearchOptions tuning;
   /// Serve golden advice (L3) on cold misses instead of reporting a miss.

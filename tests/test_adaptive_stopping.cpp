@@ -82,7 +82,7 @@ TEST(AdaptiveVisitBudget, ZeroEliminationTerminates) {
 // simulator run may not perturb stopping, trials accounting, or the curve.
 
 SearchOptions filtered_options(std::uint64_t seed, ThreadPool* pool) {
-  SearchOptions opts = quick_options(PolicyKind::kHarl, seed);
+  SearchOptions opts = quick_options("HARL", seed);
   opts.harl.stop.initial_tracks = 8;
   opts.harl.stop.min_tracks = 2;
   opts.harl.stop.window = 4;

@@ -33,8 +33,8 @@ Network tiny_network(const std::string& name = "bus_tiny") {
   return net;
 }
 
-SearchOptions tiny_options(PolicyKind kind, std::uint64_t seed = 5) {
-  SearchOptions opts = quick_options(kind, seed);
+SearchOptions tiny_options(const std::string& policy, std::uint64_t seed = 5) {
+  SearchOptions opts = quick_options(policy, seed);
   opts.harl.stop.initial_tracks = 8;
   opts.harl.stop.min_tracks = 2;
   opts.harl.stop.window = 4;
@@ -129,7 +129,7 @@ struct ThrowingCallback : TuningCallback {
 struct BusFixture {
   Network net = tiny_network();
   HardwareConfig hw = HardwareConfig::xeon_6226r();
-  SearchOptions opts = tiny_options(PolicyKind::kRandom);
+  SearchOptions opts = tiny_options("Random");
   TaskScheduler sched{&net, &hw, opts};
 
   RoundEvent round(std::size_t i) {
@@ -305,13 +305,13 @@ TEST(AsyncBusTest, DestructorDrainsPendingEvents) {
 // ----------------------------------------------- async end-to-end parity
 
 /// One durable tuning run; returns the log bytes.
-std::string run_logged(PolicyKind kind, bool async, const std::string& path,
+std::string run_logged(const std::string& policy, bool async, const std::string& path,
                        std::vector<TaskScheduler::RoundLog>* rounds,
                        double* latency) {
   Network net = tiny_network();
   HardwareConfig hw = HardwareConfig::xeon_6226r();
   hw.noise_sigma = 0.05;
-  SearchOptions opts = tiny_options(kind);
+  SearchOptions opts = tiny_options(policy);
   opts.async_callbacks.enabled = async;
   opts.async_callbacks.capacity = 256;
   TuningSession session(net, hw, opts);
@@ -333,18 +333,18 @@ std::string run_logged(PolicyKind kind, bool async, const std::string& path,
 }
 
 TEST(AsyncRunTest, AsyncRecordLoggerIsByteIdenticalToSync) {
-  for (PolicyKind kind : {PolicyKind::kHarl, PolicyKind::kAnsor}) {
+  for (const char* policy : {"HARL", "Ansor"}) {
     TempPath sync_log("async_parity_sync.jsonl");
     TempPath async_log("async_parity_async.jsonl");
     std::vector<TaskScheduler::RoundLog> sync_rounds, async_rounds;
     double sync_latency = 0, async_latency = 0;
     std::string sync_bytes =
-        run_logged(kind, /*async=*/false, sync_log.path, &sync_rounds, &sync_latency);
+        run_logged(policy, /*async=*/false, sync_log.path, &sync_rounds, &sync_latency);
     std::string async_bytes =
-        run_logged(kind, /*async=*/true, async_log.path, &async_rounds, &async_latency);
+        run_logged(policy, /*async=*/true, async_log.path, &async_rounds, &async_latency);
 
     EXPECT_FALSE(sync_bytes.empty());
-    EXPECT_EQ(sync_bytes, async_bytes) << policy_kind_name(kind);
+    EXPECT_EQ(sync_bytes, async_bytes) << policy;
     EXPECT_EQ(sync_latency, async_latency);
     ASSERT_EQ(sync_rounds.size(), async_rounds.size());
     for (std::size_t i = 0; i < sync_rounds.size(); ++i) {
@@ -358,7 +358,7 @@ TEST(AsyncRunTest, AsyncRecordLoggerIsByteIdenticalToSync) {
 TEST(AsyncRunTest, RunExitFlushesTheBus) {
   Network net = tiny_network();
   HardwareConfig hw = HardwareConfig::xeon_6226r();
-  SearchOptions opts = tiny_options(PolicyKind::kRandom);
+  SearchOptions opts = tiny_options("Random");
   opts.async_callbacks.enabled = true;
   TuningSession session(net, hw, opts);
   SeqTrace trace;
@@ -403,7 +403,7 @@ TEST(RefresherTest, RefitsArePeriodicDeterministicAndPublished) {
   auto run_once = [&]() -> std::uint64_t {
     Network net = tiny_network();
     HardwareConfig hw = HardwareConfig::xeon_6226r();
-    SearchOptions opts = tiny_options(PolicyKind::kHarl);
+    SearchOptions opts = tiny_options("HARL");
     opts.async_callbacks.enabled = true;  // refits off the tuning thread
     RefreshOptions ropts;
     ropts.period_rounds = 3;
@@ -477,13 +477,13 @@ TEST(RefresherTest, FleetSiblingPicksUpMidRunRepublish) {
   FleetWorkload wa;
   wa.network = net_a;
   wa.hardware = hw;
-  wa.options = tiny_options(PolicyKind::kHarl, 5);
+  wa.options = tiny_options("HARL", 5);
   wa.trials = 100;
   fleet.add(std::move(wa));
   FleetWorkload wb;
   wb.network = net_b;
   wb.hardware = hw;
-  wb.options = tiny_options(PolicyKind::kHarl, 5);
+  wb.options = tiny_options("HARL", 5);
   wb.trials = 100;
   fleet.add(std::move(wb));
 
@@ -509,7 +509,7 @@ TEST(RefresherTest, FleetSiblingPicksUpMidRunRepublish) {
   // verify_resume on the pre-republish segment: a cold session of the same
   // configuration reproduces every logged time.
   {
-    TuningSession session(net_a, hw, tiny_options(PolicyKind::kHarl, 5));
+    TuningSession session(net_a, hw, tiny_options("HARL", 5));
     VerifyResumeReport vr = verify_resume(session, recs_a);
     EXPECT_EQ(vr.matched, recs_a.size());
     EXPECT_GT(vr.checked, 0u);
@@ -526,7 +526,7 @@ TEST(RefresherTest, FleetSiblingPicksUpMidRunRepublish) {
     auto model = std::make_shared<Gbdt>();
     std::string error;
     ASSERT_TRUE(load_gbdt(snapshot, model.get(), &error)) << error;
-    SearchOptions warm = tiny_options(PolicyKind::kHarl, 5);
+    SearchOptions warm = tiny_options("HARL", 5);
     warm.cost_model.pretrained = model;
     TuningSession session(net_b, hw, warm);
     ASSERT_EQ(session.scheduler().experience_fingerprint(), fp_b);
@@ -537,7 +537,7 @@ TEST(RefresherTest, FleetSiblingPicksUpMidRunRepublish) {
 
     // Partitioning: the warm identity matches nothing in the cold segment,
     // and vice versa — the fingerprint keeps the streams strictly apart.
-    TuningSession cold_b(net_b, hw, tiny_options(PolicyKind::kHarl, 5));
+    TuningSession cold_b(net_b, hw, tiny_options("HARL", 5));
     EXPECT_EQ(resume_session(cold_b, fleet.log_path(1)).records_matched, 0u);
   }
 

@@ -21,8 +21,8 @@
 namespace harl {
 namespace {
 
-SearchOptions tiny_options(PolicyKind kind, std::uint64_t seed) {
-  SearchOptions opts = quick_options(kind, seed);
+SearchOptions tiny_options(const std::string& policy, std::uint64_t seed) {
+  SearchOptions opts = quick_options(policy, seed);
   opts.harl.stop.initial_tracks = 8;
   opts.harl.stop.min_tracks = 2;
   opts.harl.stop.window = 4;
@@ -43,13 +43,14 @@ struct TempPath {
 
 /// Tune `graph` with logging and return the log's records.
 std::vector<TuningRecord> tune_and_log(const Subgraph& graph,
-                                       const HardwareConfig& hw, PolicyKind kind,
+                                       const HardwareConfig& hw,
+                                       const std::string& policy,
                                        std::uint64_t seed, std::int64_t trials,
                                        const std::string& path) {
   Network net;
   net.name = "exp_" + graph.name();
   net.subgraphs.push_back(graph);
-  TuningSession session(net, hw, tiny_options(kind, seed));
+  TuningSession session(net, hw, tiny_options(policy, seed));
   RecordLogger logger;
   EXPECT_TRUE(logger.open(path, /*append=*/false));
   session.add_callback(&logger);
@@ -195,9 +196,9 @@ TEST(ExperienceStoreTest, MixedLogsFoldDeterministically) {
   TempPath log_a("harl_test_exp_a.jsonl");
   TempPath log_b("harl_test_exp_b.jsonl");
   TempPath log_c("harl_test_exp_c.jsonl");
-  tune_and_log(g_a, hw, PolicyKind::kHarl, 31, 40, log_a.path);
-  tune_and_log(g_a, hw, PolicyKind::kAnsor, 32, 40, log_b.path);
-  tune_and_log(g_b, hw, PolicyKind::kRandom, 33, 40, log_c.path);
+  tune_and_log(g_a, hw, "HARL", 31, 40, log_a.path);
+  tune_and_log(g_a, hw, "Ansor", 32, 40, log_b.path);
+  tune_and_log(g_b, hw, "Random", 33, 40, log_c.path);
 
   TaskResolver resolver = [&](const std::string&,
                               const std::string& task) -> const Subgraph* {
@@ -235,7 +236,7 @@ TEST(ExperienceStoreTest, CompactedAndMalformedInputsFoldIdentically) {
   TempPath log("harl_test_exp_fold.jsonl");
   TempPath compacted("harl_test_exp_fold_c.jsonl");
   TempPath dirty("harl_test_exp_fold_dirty.jsonl");
-  tune_and_log(g, hw, PolicyKind::kAnsor, 44, 40, log.path);
+  tune_and_log(g, hw, "Ansor", 44, 40, log.path);
 
   // Adding a log's own compaction on top of it must not change the model
   // (duplicates are dropped), and malformed lines must be skipped.
@@ -286,7 +287,7 @@ TEST(ExperienceStoreTest, BuiltinResolverHandlesShippedNetworks) {
   Network net = make_bert(1);
   TempPath log("harl_test_exp_bert.jsonl");
   {
-    TuningSession session(net, hw, tiny_options(PolicyKind::kRandom, 9));
+    TuningSession session(net, hw, tiny_options("Random", 9));
     RecordLogger logger;
     ASSERT_TRUE(logger.open(log.path, /*append=*/false));
     session.add_callback(&logger);
@@ -315,7 +316,7 @@ TEST(CompactTest, KeepsBestKPlusWindowAndStaysReadable) {
   TempPath log("harl_test_compact.jsonl");
   TempPath out("harl_test_compact_out.jsonl");
   std::vector<TuningRecord> full =
-      tune_and_log(g, hw, PolicyKind::kAnsor, 55, 60, log.path);
+      tune_and_log(g, hw, "Ansor", 55, 60, log.path);
   ASSERT_GT(full.size(), 20u);
 
   CompactOptions copts;
@@ -369,7 +370,7 @@ TEST(CompactTest, ApplyHistoryBestIdenticalOnCompactedLog) {
   TempPath log("harl_test_compact_apply.jsonl");
   TempPath out("harl_test_compact_apply_out.jsonl");
   {
-    TuningSession session(net, hw, tiny_options(PolicyKind::kAnsor, 66));
+    TuningSession session(net, hw, tiny_options("Ansor", 66));
     RecordLogger logger;
     ASSERT_TRUE(logger.open(log.path, /*append=*/false));
     session.add_callback(&logger);
@@ -380,8 +381,8 @@ TEST(CompactTest, ApplyHistoryBestIdenticalOnCompactedLog) {
   copts.window = 3;
   ASSERT_TRUE(compact_log(log.path, out.path, copts));
 
-  TuningSession from_full(net, hw, tiny_options(PolicyKind::kHarl, 7));
-  TuningSession from_compact(net, hw, tiny_options(PolicyKind::kHarl, 7));
+  TuningSession from_full(net, hw, tiny_options("HARL", 7));
+  TuningSession from_compact(net, hw, tiny_options("HARL", 7));
   int applied_full = apply_history_best(from_full, log.path);
   int applied_compact = apply_history_best(from_compact, out.path);
   EXPECT_EQ(applied_full, applied_compact);
@@ -422,7 +423,7 @@ TEST(TransferTest, SiblingTaskTransfersWithScaledPessimisticEstimate) {
   Subgraph donor = make_gemm(64, 64, 64, 1, "donor_gemm");
   TempPath log("harl_test_transfer.jsonl");
   std::vector<TuningRecord> records =
-      tune_and_log(donor, hw, PolicyKind::kAnsor, 77, 40, log.path);
+      tune_and_log(donor, hw, "Ansor", 77, 40, log.path);
   ASSERT_FALSE(records.empty());
   double donor_best = std::numeric_limits<double>::infinity();
   for (const TuningRecord& r : records) {
@@ -433,7 +434,7 @@ TEST(TransferTest, SiblingTaskTransfersWithScaledPessimisticEstimate) {
   Network net;
   net.name = "transfer_net";
   net.subgraphs.push_back(make_gemm(128, 64, 64, 1, "sibling_gemm"));
-  TuningSession session(net, hw, tiny_options(PolicyKind::kHarl, 3));
+  TuningSession session(net, hw, tiny_options("HARL", 3));
   TransferOptions topts;
   TransferStats stats = transfer_history_best(session, records, topts);
   EXPECT_EQ(stats.exact, 0);
@@ -460,7 +461,7 @@ TEST(TransferTest, SiblingTaskTransfersWithScaledPessimisticEstimate) {
   Network donor_net;
   donor_net.name = "transfer_donor_net";
   donor_net.subgraphs.push_back(donor);
-  TuningSession exact_session(donor_net, hw, tiny_options(PolicyKind::kHarl, 3));
+  TuningSession exact_session(donor_net, hw, tiny_options("HARL", 3));
   TransferStats exact_stats = transfer_history_best(exact_session, records);
   EXPECT_EQ(exact_stats.exact, 1);
   EXPECT_EQ(exact_stats.transferred, 0);
@@ -470,7 +471,7 @@ TEST(TransferTest, SiblingTaskTransfersWithScaledPessimisticEstimate) {
   Network other;
   other.name = "transfer_other";
   other.subgraphs.push_back(make_elementwise(1 << 12, 2.0, "transfer_ew"));
-  TuningSession mismatch(other, hw, tiny_options(PolicyKind::kHarl, 3));
+  TuningSession mismatch(other, hw, tiny_options("HARL", 3));
   EXPECT_EQ(transfer_history_best(mismatch, records).applied, 0);
 }
 
@@ -481,7 +482,7 @@ TEST(PretrainedPriorTest, SessionStartsWarmFromModelFile) {
   Subgraph g = make_gemm(64, 64, 64, 1, "warm_gemm");
   TempPath log("harl_test_warm.jsonl");
   TempPath model_path("harl_test_warm_model.json");
-  tune_and_log(g, hw, PolicyKind::kAnsor, 88, 40, log.path);
+  tune_and_log(g, hw, "Ansor", 88, 40, log.path);
 
   TaskResolver resolver = [&](const std::string&,
                               const std::string& task) -> const Subgraph* {
@@ -495,7 +496,7 @@ TEST(PretrainedPriorTest, SessionStartsWarmFromModelFile) {
   ASSERT_TRUE(model.trained());
   ASSERT_TRUE(save_gbdt(model, model_path.path));
 
-  SearchOptions opts = tiny_options(PolicyKind::kHarl, 4);
+  SearchOptions opts = tiny_options("HARL", 4);
   opts.experience_model = model_path.path;
   TuningSession session(g, hw, opts);
   const XgbCostModel& cm = session.scheduler().task(0).cost_model();
@@ -505,7 +506,7 @@ TEST(PretrainedPriorTest, SessionStartsWarmFromModelFile) {
   EXPECT_EQ(cm.num_samples(), 0u);
 
   // A bad path degrades to a cold start instead of failing the run.
-  SearchOptions bad = tiny_options(PolicyKind::kHarl, 4);
+  SearchOptions bad = tiny_options("HARL", 4);
   bad.experience_model = "no_such_model_file.json";
   TuningSession cold(g, hw, bad);
   EXPECT_FALSE(cold.scheduler().task(0).cost_model().trained());
@@ -517,7 +518,7 @@ TEST(PretrainedPriorTest, SessionStartsWarmFromModelFile) {
     std::vector<TuningRecord> cold_records = read_records(log.path);
     ASSERT_FALSE(cold_records.empty());
     EXPECT_EQ(cold_records.front().experience_fp, 0u);
-    SearchOptions warm_opts = tiny_options(PolicyKind::kAnsor, 88);
+    SearchOptions warm_opts = tiny_options("Ansor", 88);
     warm_opts.experience_model = model_path.path;
     Network net;
     net.name = "exp_" + g.name();  // same identity the log was written under
@@ -559,7 +560,7 @@ TEST(PretrainedPriorTest, SessionStartsWarmFromModelFile) {
   FleetWorkload w;
   w.network = fleet_net;
   w.hardware = hw;
-  w.options = tiny_options(PolicyKind::kRandom, 6);
+  w.options = tiny_options("Random", 6);
   w.trials = 10;
   fleet.add(std::move(w));
   fleet.run();
@@ -577,10 +578,10 @@ TEST(VerifyResumeTest, CleanLogVerifiesAndTamperedLogIsCaught) {
   net.subgraphs.push_back(g);
   TempPath log("harl_test_verify.jsonl");
   std::vector<TuningRecord> records =
-      tune_and_log(g, hw, PolicyKind::kAnsor, 91, 40, log.path);
+      tune_and_log(g, hw, "Ansor", 91, 40, log.path);
   ASSERT_FALSE(records.empty());
 
-  TuningSession session(net, hw, tiny_options(PolicyKind::kAnsor, 91));
+  TuningSession session(net, hw, tiny_options("Ansor", 91));
   VerifyResumeReport clean = verify_resume(session, records);
   EXPECT_GT(clean.matched, 0u);
   EXPECT_GT(clean.checked, 0u);
@@ -596,7 +597,7 @@ TEST(VerifyResumeTest, CleanLogVerifiesAndTamperedLogIsCaught) {
   EXPECT_FALSE(bad.ok());
 
   // Foreign-identity records are not checkable.
-  TuningSession other(net, hw, tiny_options(PolicyKind::kAnsor, 12345));
+  TuningSession other(net, hw, tiny_options("Ansor", 12345));
   VerifyResumeReport foreign = verify_resume(other, records);
   EXPECT_EQ(foreign.matched, 0u);
   EXPECT_TRUE(foreign.ok());

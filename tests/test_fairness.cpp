@@ -184,7 +184,7 @@ std::vector<std::int64_t> run_overload_scenario(const std::string& dir) {
   ServerOptions opts;
   opts.state_dir = dir;
   opts.max_concurrent = 1;
-  opts.tuning = quick_options(PolicyKind::kHarl);
+  opts.tuning = quick_options("HARL");
   HarlServer server(std::move(opts));
   std::string error;
   EXPECT_TRUE(server.start(&error)) << error;

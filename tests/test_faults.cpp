@@ -254,7 +254,7 @@ Network faults_network() {
 }
 
 SearchOptions faults_options(std::uint64_t seed = 5) {
-  SearchOptions opts = quick_options(PolicyKind::kHarl, seed);
+  SearchOptions opts = quick_options("HARL", seed);
   opts.harl.stop.initial_tracks = 8;
   opts.harl.stop.min_tracks = 2;
   opts.harl.stop.window = 4;

@@ -19,7 +19,7 @@ Network small_network(const char* name, int dim, double weight) {
 }
 
 SearchOptions small_options(std::uint64_t seed) {
-  SearchOptions opts = quick_options(PolicyKind::kHarl, seed);
+  SearchOptions opts = quick_options("HARL", seed);
   opts.harl.stop.initial_tracks = 8;
   opts.harl.stop.min_tracks = 2;
   opts.harl.stop.window = 4;

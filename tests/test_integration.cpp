@@ -7,8 +7,8 @@
 namespace harl {
 namespace {
 
-SearchOptions fast(PolicyKind kind, std::uint64_t seed = 21) {
-  SearchOptions opts = quick_options(kind, seed);
+SearchOptions fast(const std::string& policy, std::uint64_t seed = 21) {
+  SearchOptions opts = quick_options(policy, seed);
   opts.harl.stop.initial_tracks = 16;
   opts.harl.stop.min_tracks = 4;
   opts.harl.stop.window = 5;
@@ -21,7 +21,7 @@ SearchOptions fast(PolicyKind kind, std::uint64_t seed = 21) {
 
 TEST(Integration, TuningSessionRunsOperator) {
   TuningSession session(make_gemm(256, 256, 256), HardwareConfig::xeon_6226r(),
-                        fast(PolicyKind::kHarl));
+                        fast("HARL"));
   session.run(100);
   EXPECT_GE(session.measurer().trials_used(), 100);
   EXPECT_TRUE(std::isfinite(session.task_best_ms(0)));
@@ -44,7 +44,7 @@ TEST(Integration, HarlBeatsRandomInitialization) {
   }
   random_mean /= n;
 
-  TuningSession session(g, hw, fast(PolicyKind::kHarl));
+  TuningSession session(g, hw, fast("HARL"));
   session.run(200);
   EXPECT_LT(session.task_best_ms(0), random_mean / 4);
 }
@@ -52,7 +52,7 @@ TEST(Integration, HarlBeatsRandomInitialization) {
 TEST(Integration, SameSeedIsDeterministic) {
   auto run_once = [] {
     TuningSession session(make_gemm(128, 256, 128), HardwareConfig::xeon_6226r(),
-                          fast(PolicyKind::kHarl, 77));
+                          fast("HARL", 77));
     session.run(60);
     return session.task_best_ms(0);
   };
@@ -62,7 +62,7 @@ TEST(Integration, SameSeedIsDeterministic) {
 TEST(Integration, DifferentSeedsExploreDifferently) {
   auto run_once = [](std::uint64_t seed) {
     TuningSession session(make_gemm(128, 256, 128), HardwareConfig::xeon_6226r(),
-                          fast(PolicyKind::kHarl, seed));
+                          fast("HARL", seed));
     session.run(60);
     return session.task_best_ms(0);
   };
@@ -75,7 +75,7 @@ TEST(Integration, NetworkTuningProducesFiniteLatency) {
   // multi-task path.
   net.subgraphs.resize(4);
   TuningSession session(std::move(net), HardwareConfig::xeon_6226r(),
-                        fast(PolicyKind::kHarl));
+                        fast("HARL"));
   session.run(250);
   EXPECT_TRUE(std::isfinite(session.latency_ms()));
   EXPECT_GT(session.latency_ms(), 0);
@@ -85,7 +85,7 @@ TEST(Integration, NetworkTuningProducesFiniteLatency) {
 
 TEST(Integration, GpuPlatformTunes) {
   TuningSession session(make_gemm(256, 256, 256), HardwareConfig::rtx3090(),
-                        fast(PolicyKind::kHarl));
+                        fast("HARL"));
   session.run(100);
   EXPECT_TRUE(std::isfinite(session.task_best_ms(0)));
 }
@@ -129,8 +129,8 @@ TEST(Integration, Table6SuitesAllTunable) {
 }
 
 TEST(Integration, QuickAndPaperPresetsDiffer) {
-  SearchOptions quick = quick_options(PolicyKind::kHarl);
-  SearchOptions paper = paper_options(PolicyKind::kHarl);
+  SearchOptions quick = quick_options("HARL");
+  SearchOptions paper = paper_options("HARL");
   EXPECT_LT(quick.harl.stop.initial_tracks, paper.harl.stop.initial_tracks);
   EXPECT_EQ(paper.harl.stop.initial_tracks, 256);
   EXPECT_EQ(paper.harl.stop.min_tracks, 64);

@@ -286,7 +286,7 @@ TEST(KnowledgeCache, UpdaterCallbackServesNewBestWithinOnePeriod) {
   copts.save_path = file.path;
   KnowledgeCacheUpdater updater(&cache, copts);
 
-  SearchOptions opts = quick_options(PolicyKind::kHarl, 17);
+  SearchOptions opts = quick_options("HARL", 17);
   opts.measures_per_round = 5;
   TuningSession session(net, hw, opts);
   session.add_callback(&updater);

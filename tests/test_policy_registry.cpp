@@ -13,35 +13,66 @@
 namespace harl {
 namespace {
 
-TEST(PolicyKindRoundTrip, NameToKindInvertsKindToName) {
-  for (PolicyKind kind : {PolicyKind::kHarl, PolicyKind::kHarlFixedLength,
-                          PolicyKind::kAnsor, PolicyKind::kFlextensor,
-                          PolicyKind::kAutoTvmSa, PolicyKind::kRandom}) {
-    auto back = policy_kind_from_name(policy_kind_name(kind));
-    ASSERT_TRUE(back.has_value()) << policy_kind_name(kind);
-    EXPECT_EQ(*back, kind);
+const char* const kBuiltins[] = {"HARL",       "Hierarchical-RL", "Ansor",
+                                 "Flextensor", "AutoTVM-SA",      "Random"};
+
+TEST(PolicyNameLookup, CanonicalNamesLookUpToThemselves) {
+  for (const char* name : kBuiltins) {
+    auto canonical = policy_kind_from_name(name);
+    ASSERT_TRUE(canonical.has_value()) << name;
+    EXPECT_EQ(*canonical, name);
   }
 }
 
-TEST(PolicyKindRoundTrip, CaseInsensitiveAndUnknown) {
-  EXPECT_EQ(policy_kind_from_name("harl"), PolicyKind::kHarl);
-  EXPECT_EQ(policy_kind_from_name("ANSOR"), PolicyKind::kAnsor);
-  EXPECT_EQ(policy_kind_from_name("AuToTvM-sA"), PolicyKind::kAutoTvmSa);
+TEST(PolicyNameLookup, CaseInsensitiveAndUnknown) {
+  EXPECT_EQ(policy_kind_from_name("harl"), std::string("HARL"));
+  EXPECT_EQ(policy_kind_from_name("ANSOR"), std::string("Ansor"));
+  EXPECT_EQ(policy_kind_from_name("AuToTvM-sA"), std::string("AutoTVM-SA"));
   EXPECT_FALSE(policy_kind_from_name("").has_value());
   EXPECT_FALSE(policy_kind_from_name("HARLx").has_value());
   EXPECT_FALSE(policy_kind_from_name("HAR").has_value());
+  EXPECT_FALSE(policy_kind_from_name("autotvm").has_value());
 }
 
 TEST(PolicyRegistryTest, BuiltinsRegistered) {
   PolicyRegistry& reg = PolicyRegistry::instance();
-  for (PolicyKind kind : {PolicyKind::kHarl, PolicyKind::kHarlFixedLength,
-                          PolicyKind::kAnsor, PolicyKind::kFlextensor,
-                          PolicyKind::kAutoTvmSa, PolicyKind::kRandom}) {
-    EXPECT_TRUE(reg.contains(policy_kind_name(kind))) << policy_kind_name(kind);
-  }
+  for (const char* name : kBuiltins) EXPECT_TRUE(reg.contains(name)) << name;
   EXPECT_TRUE(reg.contains("harl"));  // case-insensitive
   EXPECT_FALSE(reg.contains("no-such-policy"));
   EXPECT_GE(reg.names().size(), 6u);
+}
+
+TEST(PolicyRegistryTest, BuiltinDefaultSelectors) {
+  PolicyRegistry& reg = PolicyRegistry::instance();
+  EXPECT_EQ(reg.default_selector("HARL"), "sw-ucb");
+  EXPECT_EQ(reg.default_selector("Hierarchical-RL"), "sw-ucb");
+  EXPECT_EQ(reg.default_selector("Ansor"), "greedy-gradient");
+  EXPECT_EQ(reg.default_selector("ansor"), "greedy-gradient");
+  EXPECT_EQ(reg.default_selector("Flextensor"), "round-robin");
+  EXPECT_EQ(reg.default_selector("AutoTVM-SA"), "round-robin");
+  EXPECT_EQ(reg.default_selector("Random"), "round-robin");
+  EXPECT_EQ(reg.default_selector("no-such-policy"), "sw-ucb");
+  for (const char* name : kBuiltins) {
+    EXPECT_EQ(quick_options(name).effective_task_select_name(),
+              reg.default_selector(name))
+        << name;
+  }
+}
+
+TEST(PolicyRegistryTest, RegisteredDefaultSelectorIsTheRunDefault) {
+  PolicyRegistry& reg = PolicyRegistry::instance();
+  auto factory = [](TaskState* task, const SearchOptions& opts) {
+    return std::make_unique<RandomSearchPolicy>(task, opts.seed);
+  };
+  // A repeated run of this test finds the names taken; the entries match.
+  reg.register_policy("test-default-sw-ucb", factory);
+  reg.register_policy("test-default-greedy", factory, "greedy-gradient");
+  EXPECT_EQ(quick_options("test-default-sw-ucb").effective_task_select_name(),
+            "sw-ucb");
+  SearchOptions opts = quick_options("TEST-DEFAULT-GREEDY");
+  EXPECT_EQ(opts.effective_task_select_name(), "greedy-gradient");
+  opts.task_select_name = "round-robin";  // an explicit name wins
+  EXPECT_EQ(opts.effective_task_select_name(), "round-robin");
 }
 
 TEST(PolicyRegistryTest, DuplicateRegistrationRejected) {
@@ -57,16 +88,18 @@ TEST(PolicyRegistryTest, DuplicateRegistrationRejected) {
   EXPECT_FALSE(reg.register_policy("", nullptr));
 }
 
-TEST(PolicyRegistryTest, EnumShimUsesRegistry) {
-  Subgraph g = make_gemm(32, 32, 32, 1, "shim_gemm");
+TEST(PolicyRegistryTest, MakePolicyResolvesNamesCaseInsensitively) {
+  Subgraph g = make_gemm(32, 32, 32, 1, "name_gemm");
   HardwareConfig hw = HardwareConfig::test_config();
   TaskState task(&g, &hw);
-  SearchOptions opts = quick_options(PolicyKind::kAnsor, 3);
-  auto from_enum = make_policy(PolicyKind::kAnsor, &task, opts);
-  auto from_name = make_policy(std::string("ansor"), &task, opts);
-  ASSERT_NE(from_enum, nullptr);
-  ASSERT_NE(from_name, nullptr);
-  EXPECT_STREQ(from_enum->name(), from_name->name());
+  SearchOptions opts = quick_options("Ansor", 3);
+  auto canonical = make_policy(std::string("Ansor"), &task, opts);
+  auto lowercase = make_policy(std::string("ansor"), &task, opts);
+  ASSERT_NE(canonical, nullptr);
+  ASSERT_NE(lowercase, nullptr);
+  EXPECT_STREQ(canonical->name(), lowercase->name());
+  EXPECT_THROW(make_policy(std::string("autotvm"), &task, opts),
+               std::invalid_argument);
 }
 
 // ---- the acceptance criterion: a policy registered from test code (outside
@@ -114,8 +147,7 @@ TEST(PolicyRegistryTest, ExternalPolicyRunsEndToEnd) {
   net.subgraphs.push_back(make_gemm(64, 64, 64, 1, "xp_gemm", 2.0));
   net.subgraphs.push_back(make_elementwise(1 << 12, 2.0, "xp_ew", 1.0));
 
-  SearchOptions opts = quick_options(PolicyKind::kHarl, 17);
-  opts.policy_name = "test-random-walk";  // overrides the enum
+  SearchOptions opts = quick_options("test-random-walk", 17);
   opts.measures_per_round = 5;
 
   HardwareConfig hw = HardwareConfig::xeon_6226r();
@@ -133,8 +165,7 @@ TEST(PolicyRegistryTest, ExternalPolicyRunsEndToEnd) {
 TEST(PolicyRegistryTest, UnknownPolicyNameThrows) {
   Network net;
   net.subgraphs.push_back(make_gemm(32, 32, 32, 1, "die_gemm"));
-  SearchOptions opts = quick_options(PolicyKind::kHarl, 1);
-  opts.policy_name = "definitely-not-registered";
+  SearchOptions opts = quick_options("definitely-not-registered", 1);
   HardwareConfig hw = HardwareConfig::test_config();
   try {
     TuningSession session(net, hw, opts);

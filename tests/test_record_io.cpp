@@ -87,6 +87,17 @@ TEST(Json, DuplicateKeysLastWins) {
   json::Value v = json::parse("{\"a\":1,\"a\":2}", &err);
   ASSERT_TRUE(err.ok);
   EXPECT_EQ(v.find("a")->as_int64(), 2);
+  EXPECT_EQ(v.members().size(), 1u);
+  EXPECT_EQ(v.dump(), "{\"a\":2}");
+}
+
+TEST(Json, SetReplacesInPlace) {
+  json::Value v = json::Value::object();
+  v.set("a", json::Value::number(static_cast<std::int64_t>(1)));
+  v.set("b", json::Value::string("x"));
+  v.set("a", json::Value::number(static_cast<std::int64_t>(2)));
+  EXPECT_EQ(v.dump(), "{\"a\":2,\"b\":\"x\"}");
+  EXPECT_EQ(v.find("a")->as_int64(), 2);
 }
 
 // ------------------------------------------------------------ round trip

@@ -49,7 +49,7 @@ ServerOptions primary_options(const std::string& state_dir) {
   ServerOptions opts;
   opts.state_dir = state_dir;
   opts.max_concurrent = 1;
-  opts.tuning = quick_options(PolicyKind::kHarl);
+  opts.tuning = quick_options("HARL");
   return opts;
 }
 
@@ -261,7 +261,7 @@ TEST(Replica, NextQueryAfterBestDisplacementServesNewBest) {
   copts.save_path = path;
   KnowledgeCacheUpdater updater(&cache, copts);
 
-  SearchOptions opts = quick_options(PolicyKind::kHarl, 17);
+  SearchOptions opts = quick_options("HARL", 17);
   opts.measures_per_round = 5;
   TuningSession session(net, hw, opts);
   session.add_callback(&updater);

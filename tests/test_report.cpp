@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/report.hpp"
+#include "search/policy_registry.hpp"
 #include "workloads/operators.hpp"
 
 namespace harl {
 namespace {
 
-SearchOptions tiny(PolicyKind kind) {
-  SearchOptions opts = quick_options(kind, 13);
+SearchOptions tiny(const std::string& policy) {
+  SearchOptions opts = quick_options(policy, 13);
   opts.harl.stop.initial_tracks = 8;
   opts.harl.stop.min_tracks = 2;
   opts.harl.stop.window = 4;
@@ -19,7 +22,7 @@ SearchOptions tiny(PolicyKind kind) {
 
 TEST(Report, SummaryLineBeforeAndAfterMeasurement) {
   TuningSession session(make_gemm(64, 64, 64), HardwareConfig::xeon_6226r(),
-                        tiny(PolicyKind::kHarl));
+                        tiny("HARL"));
   std::string before = session_summary_line(session);
   EXPECT_NE(before.find("not all subgraphs measured"), std::string::npos);
   session.run(10);
@@ -34,7 +37,7 @@ TEST(Report, FullReportListsEveryTask) {
   net.subgraphs.push_back(make_gemm(64, 64, 64, 1, "g0", 2.0));
   net.subgraphs.push_back(make_elementwise(1 << 12, 1.0, "e0"));
   TuningSession session(std::move(net), HardwareConfig::xeon_6226r(),
-                        tiny(PolicyKind::kHarl));
+                        tiny("HARL"));
   session.run(40);
   std::string report = render_session_report(session);
   EXPECT_NE(report.find("g0"), std::string::npos);
@@ -45,9 +48,22 @@ TEST(Report, FullReportListsEveryTask) {
   EXPECT_NE(report.find("xeon_6226r"), std::string::npos);
 }
 
+TEST(Report, NamesTheRegisteredPolicyThatRan) {
+  PolicyRegistry::instance().register_policy(
+      "report-test-random", [](TaskState* task, const SearchOptions& opts) {
+        return std::make_unique<RandomSearchPolicy>(task, opts.seed);
+      });
+  TuningSession session(make_gemm(64, 64, 64), HardwareConfig::xeon_6226r(),
+                        tiny("report-test-random"));
+  session.run(10);
+  std::string report = render_session_report(session);
+  EXPECT_NE(report.find("policy   : report-test-random\n"), std::string::npos)
+      << report;
+}
+
 TEST(Report, CurveDownsamplingRespectsPointBudget) {
   TuningSession session(make_gemm(64, 64, 64), HardwareConfig::xeon_6226r(),
-                        tiny(PolicyKind::kRandom));
+                        tiny("Random"));
   session.run(100);  // 20 rounds of 5
   std::string report = render_session_report(session, 4);
   // Count curve rows: lines after the convergence header that start with a

@@ -28,8 +28,8 @@ Network tiny_network() {
   return net;
 }
 
-SearchOptions tiny_options(PolicyKind kind, std::uint64_t seed = 5) {
-  SearchOptions opts = quick_options(kind, seed);
+SearchOptions tiny_options(const std::string& policy, std::uint64_t seed = 5) {
+  SearchOptions opts = quick_options(policy, seed);
   opts.harl.stop.initial_tracks = 8;
   opts.harl.stop.min_tracks = 2;
   opts.harl.stop.window = 4;
@@ -88,7 +88,7 @@ TEST(CallbackBusTest, EventsMirrorTheRun) {
   Network net = tiny_network();
   HardwareConfig hw = noisy_hw();
   EventTrace trace;
-  TuningSession session(net, hw, tiny_options(PolicyKind::kAnsor));
+  TuningSession session(net, hw, tiny_options("Ansor"));
   session.add_callback(&trace);
   session.run(40);
 
@@ -134,7 +134,7 @@ TEST(RecordLoggerTest, LogIsParseableAndReconstructible) {
   TempPath log("harl_test_logger.jsonl");
   Network net = tiny_network();
   HardwareConfig hw = noisy_hw();
-  SearchOptions opts = tiny_options(PolicyKind::kHarl);
+  SearchOptions opts = tiny_options("HARL");
 
   TuningSession session(net, hw, opts);
   RecordLogger logger;
@@ -206,7 +206,7 @@ void expect_identical(const RunSnapshot& a, const RunSnapshot& b) {
 /// The tentpole acceptance property: interrupt at *any* round boundary,
 /// resume from the log, and the completed run is bit-identical to an
 /// uninterrupted one — round log, trials, and best schedules.
-void check_resume_at(PolicyKind kind, int interrupt_after_rounds) {
+void check_resume_at(const std::string& policy, int interrupt_after_rounds) {
   SCOPED_TRACE("interrupt after round " + std::to_string(interrupt_after_rounds));
   Network net = tiny_network();
   HardwareConfig hw = noisy_hw();
@@ -214,10 +214,10 @@ void check_resume_at(PolicyKind kind, int interrupt_after_rounds) {
 
   // Uninterrupted reference, with its log.
   TempPath full_log("harl_test_resume_full_" + std::to_string(interrupt_after_rounds) +
-                    policy_kind_name(kind) + ".jsonl");
+                    policy + ".jsonl");
   RunSnapshot reference;
   {
-    TuningSession session(net, hw, tiny_options(kind));
+    TuningSession session(net, hw, tiny_options(policy));
     RecordLogger logger;
     ASSERT_TRUE(logger.open(full_log.path));
     session.add_callback(&logger);
@@ -227,9 +227,9 @@ void check_resume_at(PolicyKind kind, int interrupt_after_rounds) {
 
   // Interrupted run: stop (abandon the session) after N rounds.
   TempPath crash_log("harl_test_resume_crash_" + std::to_string(interrupt_after_rounds) +
-                     policy_kind_name(kind) + ".jsonl");
+                     policy + ".jsonl");
   {
-    TuningSession session(net, hw, tiny_options(kind));
+    TuningSession session(net, hw, tiny_options(policy));
     RecordLogger logger;
     ASSERT_TRUE(logger.open(crash_log.path));
     session.add_callback(&logger);
@@ -241,7 +241,7 @@ void check_resume_at(PolicyKind kind, int interrupt_after_rounds) {
   // Resumed run: fresh session, replay the partial log, finish the budget.
   RunSnapshot resumed;
   {
-    TuningSession session(net, hw, tiny_options(kind));
+    TuningSession session(net, hw, tiny_options(policy));
     ResumeStats stats = resume_session(session, crash_log.path);
     EXPECT_EQ(stats.records_matched, stats.records_loaded);
     EXPECT_EQ(stats.lines_skipped, 0u);
@@ -267,27 +267,27 @@ void check_resume_at(PolicyKind kind, int interrupt_after_rounds) {
 
 TEST(ResumeTest, HarlBitIdenticalAcrossInterruptPoints) {
   for (int rounds : {1, 3, 6}) {
-    check_resume_at(PolicyKind::kHarl, rounds);
+    check_resume_at("HARL", rounds);
   }
 }
 
-TEST(ResumeTest, AnsorBitIdentical) { check_resume_at(PolicyKind::kAnsor, 4); }
+TEST(ResumeTest, AnsorBitIdentical) { check_resume_at("Ansor", 4); }
 
-TEST(ResumeTest, AutoTvmBitIdentical) { check_resume_at(PolicyKind::kAutoTvmSa, 4); }
+TEST(ResumeTest, AutoTvmBitIdentical) { check_resume_at("AutoTVM-SA", 4); }
 
 TEST(ResumeTest, MismatchedIdentityReplaysNothing) {
   Network net = tiny_network();
   HardwareConfig hw = noisy_hw();
   TempPath log("harl_test_resume_mismatch.jsonl");
   {
-    TuningSession session(net, hw, tiny_options(PolicyKind::kHarl, 5));
+    TuningSession session(net, hw, tiny_options("HARL", 5));
     RecordLogger logger;
     ASSERT_TRUE(logger.open(log.path));
     session.add_callback(&logger);
     session.run(20);
   }
   // Different seed => different run identity: nothing must replay.
-  TuningSession other(net, hw, tiny_options(PolicyKind::kHarl, 6));
+  TuningSession other(net, hw, tiny_options("HARL", 6));
   ResumeStats stats = resume_session(other, log.path);
   EXPECT_GT(stats.records_loaded, 0u);
   EXPECT_EQ(stats.records_matched, 0u);
@@ -302,14 +302,14 @@ TEST(ResumeTest, TornFinalLineStillResumesBitIdentically) {
 
   RunSnapshot reference;
   {
-    TuningSession session(net, hw, tiny_options(PolicyKind::kHarl));
+    TuningSession session(net, hw, tiny_options("HARL"));
     session.run(kBudget);
     reference = snapshot(session);
   }
 
   TempPath log("harl_test_resume_torn.jsonl");
   {
-    TuningSession session(net, hw, tiny_options(PolicyKind::kHarl));
+    TuningSession session(net, hw, tiny_options("HARL"));
     RecordLogger logger;
     ASSERT_TRUE(logger.open(log.path));
     session.add_callback(&logger);
@@ -327,7 +327,7 @@ TEST(ResumeTest, TornFinalLineStillResumesBitIdentically) {
 
   RunSnapshot resumed;
   {
-    TuningSession session(net, hw, tiny_options(PolicyKind::kHarl));
+    TuningSession session(net, hw, tiny_options("HARL"));
     ResumeStats stats = resume_session(session, log.path);
     ASSERT_EQ(stats.lines_skipped, 1u);  // the torn line
     RecordLogger logger;
@@ -349,7 +349,7 @@ TEST(ApplyHistoryBestTest, SeedsFreshSessionAcrossPolicies) {
 
   double tuned_latency;
   {
-    TuningSession session(net, hw, tiny_options(PolicyKind::kAnsor, 5));
+    TuningSession session(net, hw, tiny_options("Ansor", 5));
     RecordLogger logger;
     ASSERT_TRUE(logger.open(log.path));
     session.add_callback(&logger);
@@ -359,7 +359,7 @@ TEST(ApplyHistoryBestTest, SeedsFreshSessionAcrossPolicies) {
 
   // Fresh session with a *different* policy and seed: history still applies
   // (matching is by subgraph name + hardware fingerprint only).
-  TuningSession fresh(net, hw, tiny_options(PolicyKind::kHarl, 99));
+  TuningSession fresh(net, hw, tiny_options("HARL", 99));
   EXPECT_TRUE(std::isinf(fresh.latency_ms()));
   int applied = apply_history_best(fresh, log.path);
   EXPECT_EQ(applied, fresh.scheduler().num_tasks());
@@ -380,7 +380,7 @@ TEST(ApplyHistoryBestTest, SeedsFreshSessionAcrossPolicies) {
   other_hw.num_cores = 8;
   std::vector<TuningRecord> records = read_records(log.path);
   {
-    TuningSession sibling(net, other_hw, tiny_options(PolicyKind::kHarl, 99));
+    TuningSession sibling(net, other_hw, tiny_options("HARL", 99));
     TransferStats stats = transfer_history_best(sibling, records);
     EXPECT_EQ(stats.exact, 0);
     EXPECT_EQ(stats.transferred, sibling.scheduler().num_tasks());
@@ -398,7 +398,7 @@ TEST(ApplyHistoryBestTest, SeedsFreshSessionAcrossPolicies) {
   // With structural transfer off, the strict exact rule is back: nothing
   // applies on foreign hardware.
   {
-    TuningSession strict(net, other_hw, tiny_options(PolicyKind::kHarl, 99));
+    TuningSession strict(net, other_hw, tiny_options("HARL", 99));
     TransferOptions exact_only;
     exact_only.structural = false;
     EXPECT_EQ(transfer_history_best(strict, records, exact_only).applied, 0);
@@ -409,7 +409,7 @@ TEST(ApplyHistoryBestTest, SeedsFreshSessionAcrossPolicies) {
   {
     std::vector<TuningRecord> legacy = records;
     for (TuningRecord& r : legacy) r.hw_sim.clear();
-    TuningSession old_log(net, other_hw, tiny_options(PolicyKind::kHarl, 99));
+    TuningSession old_log(net, other_hw, tiny_options("HARL", 99));
     EXPECT_EQ(transfer_history_best(old_log, legacy).applied, 0);
   }
 }
@@ -425,7 +425,7 @@ TEST(FleetWarmStartTest, SecondRunReplaysEverythingBitIdentically) {
     a.network.name = "fleet_a";
     a.network.subgraphs.push_back(make_gemm(96, 96, 96, 1, "fa_gemm"));
     a.hardware = noisy_hw();
-    a.options = tiny_options(PolicyKind::kAnsor, 21);
+    a.options = tiny_options("Ansor", 21);
     a.trials = 30;
     fleet.add(std::move(a));
 
@@ -434,7 +434,7 @@ TEST(FleetWarmStartTest, SecondRunReplaysEverythingBitIdentically) {
     b.network.name = "fleet_b";
     b.network.subgraphs.push_back(make_gemm(64, 64, 64, 1, "fb_gemm"));
     b.hardware = noisy_hw();
-    b.options = tiny_options(PolicyKind::kRandom, 22);
+    b.options = tiny_options("Random", 22);
     b.trials = 30;
     fleet.add(std::move(b));
   };
@@ -486,7 +486,7 @@ TEST(FleetWarmStartTest, CollidingWorkloadNamesGetDistinctLogs) {
     w.network.name = "dup_net";
     w.network.subgraphs.push_back(make_gemm(48, 48, 48, 1, "dup_gemm"));
     w.hardware = noisy_hw();
-    w.options = tiny_options(PolicyKind::kRandom, seed);
+    w.options = tiny_options("Random", seed);
     w.trials = 15;
     fleet.add(std::move(w));
   }
@@ -511,7 +511,7 @@ TEST(FleetWarmStartTest, CollidingWorkloadNamesGetDistinctLogs) {
     w.network.name = "dup_net";
     w.network.subgraphs.push_back(make_gemm(48, 48, 48, 1, "dup_gemm"));
     w.hardware = noisy_hw();
-    w.options = tiny_options(PolicyKind::kRandom, seed);
+    w.options = tiny_options("Random", seed);
     w.trials = 15;
     warm.add(std::move(w));
   }

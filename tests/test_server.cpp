@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,7 +53,7 @@ ServerOptions make_server_options(const std::string& state_dir) {
   ServerOptions opts;
   opts.state_dir = state_dir;
   opts.max_concurrent = 1;
-  opts.tuning = quick_options(PolicyKind::kHarl);
+  opts.tuning = quick_options("HARL");
   return opts;
 }
 
@@ -440,6 +441,137 @@ TEST(Server, RejectsInvalidRequests) {
 
   EXPECT_EQ(server.stats().jobs_admitted, 0);
   server.shutdown();
+}
+
+TEST(Server, ValidatesPoliciesThroughTheRegistry) {
+  TempDir dir("test_server_registry");
+  HarlServer server(make_server_options(dir.path));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Request unknown = tune_request("ivan", 20, 1);
+  unknown.policy = "server-test-unregistered";
+  Response rejected = server.handle_for_test(unknown);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.error, "unknown policy \"server-test-unregistered\"");
+
+  // A policy registered by this process (not a built-in) is admitted and
+  // runs like one.
+  PolicyRegistry::instance().register_policy(
+      "server-test-random", [](TaskState* task, const SearchOptions& opts) {
+        return std::make_unique<RandomSearchPolicy>(task, opts.seed);
+      });
+  Request custom = tune_request("ivan", 20, 1);
+  custom.policy = "server-test-random";
+  Response admitted = server.handle_for_test(custom);
+  ASSERT_TRUE(admitted.ok) << admitted.error;
+  Response done = wait_for_job(server, admitted.job, 120);
+  EXPECT_EQ(done.state, "done");
+  server.shutdown();
+}
+
+/// Records the subgraph each round tuned, in round order.
+struct RoundTaskRecorder : TuningCallback {
+  std::vector<std::string> tasks;
+  void on_round(const TaskScheduler& sched, const RoundEvent& round) override {
+    tasks.push_back(round.task >= 0 ? sched.task(round.task).graph().name() : "");
+  }
+};
+
+/// Random search whose rounds wait for `open`: a job running it holds the
+/// server's one job slot until the test opens the gate.
+struct Gate {
+  std::atomic<bool> open{false};
+};
+
+class GatedRandomPolicy : public RandomSearchPolicy {
+ public:
+  GatedRandomPolicy(TaskState* task, std::uint64_t seed, Gate* gate)
+      : RandomSearchPolicy(task, seed), gate_(gate) {}
+  std::vector<MeasuredRecord> tune_round(Measurer& measurer,
+                                         int num_measures) override {
+    while (!gate_->open.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return RandomSearchPolicy::tune_round(measurer, num_measures);
+  }
+
+ private:
+  Gate* gate_;
+};
+
+TEST(Server, PolicyJobsKeepTheBaseOptionsSelector) {
+  const std::int64_t kTrials = 150;
+  const std::uint64_t kSeed = 3;
+  static Gate gate;
+  gate.open = false;
+  PolicyRegistry::instance().register_policy(
+      "server-test-gated", [](TaskState* task, const SearchOptions& opts) {
+        return std::make_unique<GatedRandomPolicy>(task, opts.seed, &gate);
+      });
+  TempDir dir("test_server_selector");
+  HarlServer server(make_server_options(dir.path));  // base policy: HARL
+  // Declared after the server so it opens the gate (on every exit path)
+  // before the server's destructor drains the gated job.
+  struct OpenOnExit {
+    ~OpenOnExit() { gate.open = true; }
+  } open_on_exit;
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // The gated job holds the one job slot while the client subscribes to the
+  // queued Ansor job, so the stream starts at round 0.
+  Request blocker = tune_request("amy", 20, 1);
+  blocker.policy = "server-test-gated";
+  ASSERT_TRUE(server.handle_for_test(blocker).ok);
+  Request ansor = tune_request("zed", kTrials, kSeed);
+  ansor.policy = "Ansor";
+  Response admitted = server.handle_for_test(ansor);
+  ASSERT_TRUE(admitted.ok) << admitted.error;
+
+  LineClient cli;
+  ASSERT_TRUE(cli.connect("127.0.0.1", server.port(), &error)) << error;
+  Request sub;
+  sub.type = RequestType::kSubscribe;
+  sub.job = admitted.job;
+  ASSERT_TRUE(cli.send_line(request_to_json(sub), &error)) << error;
+  // The server handles one connection's lines in order, so the reply to a
+  // stats line sent after the subscribe line means the subscription is in
+  // place; only then may the queued job start.
+  Request stats;
+  stats.type = RequestType::kStats;
+  ASSERT_TRUE(cli.send_line(request_to_json(stats), &error)) << error;
+  std::string stats_line;
+  ASSERT_TRUE(cli.recv_line(&stats_line, &error)) << error;
+  gate.open = true;
+  std::vector<std::string> served;
+  for (;;) {
+    std::string line;
+    ASSERT_TRUE(cli.recv_line(&line, &error, 120000)) << error;
+    Response ev;
+    ASSERT_TRUE(response_from_json(line, &ev, &error)) << error;
+    if (ev.event == "done") break;
+    if (ev.event != "round") continue;
+    ASSERT_EQ(ev.round, static_cast<std::int64_t>(served.size()))
+        << "the subscription missed the job's first rounds";
+    served.push_back(ev.task);
+  }
+  server.shutdown();
+
+  // The same job standalone: Ansor under the base options' sw-ucb selector
+  // reproduces the served order, Ansor's own greedy-gradient default does not.
+  auto standalone = [&](const std::string& selector) {
+    SearchOptions opts = quick_options("Ansor", kSeed);
+    opts.task_select_name = selector;
+    TuningSession session(make_network("bert", 1), HardwareConfig::test_config(),
+                          opts);
+    RoundTaskRecorder recorder;
+    session.add_callback(&recorder);
+    session.run(kTrials);
+    return recorder.tasks;
+  };
+  EXPECT_EQ(served, standalone("sw-ucb"));
+  EXPECT_NE(served, standalone(""));
 }
 
 TEST(Server, DrainCheckpointsAndRestartResumesBitIdentically) {

@@ -4,6 +4,7 @@
 
 #include "core/presets.hpp"
 #include "search/task_scheduler.hpp"
+#include "search/task_select.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/operators.hpp"
 
@@ -19,8 +20,8 @@ Network tiny_network() {
   return net;
 }
 
-SearchOptions tiny_options(PolicyKind kind) {
-  SearchOptions opts = quick_options(kind, 5);
+SearchOptions tiny_options(const std::string& policy) {
+  SearchOptions opts = quick_options(policy, 5);
   opts.harl.stop.initial_tracks = 8;
   opts.harl.stop.min_tracks = 2;
   opts.harl.stop.window = 4;
@@ -50,7 +51,7 @@ struct SchedulerFixture : ::testing::Test {
 };
 
 TEST_F(SchedulerFixture, WarmupToursEveryTask) {
-  TaskScheduler sched(&net, &hw, tiny_options(PolicyKind::kHarl));
+  TaskScheduler sched(&net, &hw, tiny_options("HARL"));
   sched.run(measurer, 15);  // exactly 3 rounds of 5
   for (int i = 0; i < sched.num_tasks(); ++i) {
     EXPECT_EQ(sched.task(i).rounds(), 1) << "task " << i;
@@ -59,13 +60,13 @@ TEST_F(SchedulerFixture, WarmupToursEveryTask) {
 }
 
 TEST_F(SchedulerFixture, LatencyInfiniteBeforeFullWarmup) {
-  TaskScheduler sched(&net, &hw, tiny_options(PolicyKind::kHarl));
+  TaskScheduler sched(&net, &hw, tiny_options("HARL"));
   sched.run(measurer, 5);  // only one task tuned
   EXPECT_TRUE(std::isinf(sched.estimated_latency_ms()));
 }
 
 TEST_F(SchedulerFixture, BudgetIsRespected) {
-  TaskScheduler sched(&net, &hw, tiny_options(PolicyKind::kAnsor));
+  TaskScheduler sched(&net, &hw, tiny_options("Ansor"));
   sched.run(measurer, 60);
   EXPECT_GE(measurer.trials_used(), 60);
   EXPECT_LT(measurer.trials_used(), 60 + 10);  // at most one round overshoot
@@ -76,7 +77,7 @@ TEST_F(SchedulerFixture, BudgetIsRespected) {
 }
 
 TEST_F(SchedulerFixture, GradientIsFiniteAfterWarmupAndNegative) {
-  TaskScheduler sched(&net, &hw, tiny_options(PolicyKind::kAnsor));
+  TaskScheduler sched(&net, &hw, tiny_options("Ansor"));
   sched.run(measurer, 30);
   for (int i = 0; i < sched.num_tasks(); ++i) {
     double g = sched.task_gradient(i);
@@ -92,13 +93,13 @@ TEST_F(SchedulerFixture, GradientScalesWithWeight) {
   dup.name = "dup";
   dup.subgraphs.push_back(make_gemm(96, 96, 96, 1, "a", 1.0));
   dup.subgraphs.push_back(make_gemm(96, 96, 96, 1, "b", 8.0));
-  TaskScheduler sched(&dup, &hw, tiny_options(PolicyKind::kAnsor));
+  TaskScheduler sched(&dup, &hw, tiny_options("Ansor"));
   sched.run(measurer, 20);
   EXPECT_LT(sched.task_gradient(1), sched.task_gradient(0));
 }
 
 TEST_F(SchedulerFixture, RoundLogTracksSelections) {
-  TaskScheduler sched(&net, &hw, tiny_options(PolicyKind::kHarl));
+  TaskScheduler sched(&net, &hw, tiny_options("HARL"));
   sched.run(measurer, 50);
   const auto& log = sched.round_log();
   ASSERT_GE(log.size(), 10u);
@@ -114,24 +115,24 @@ TEST_F(SchedulerFixture, RoundLogTracksSelections) {
 }
 
 TEST_F(SchedulerFixture, MabAllocatesBeyondWarmup) {
-  SearchOptions opts = tiny_options(PolicyKind::kHarl);
+  SearchOptions opts = tiny_options("HARL");
   TaskScheduler sched(&net, &hw, opts);
   sched.run(measurer, 150);
   auto alloc = sched.task_allocations();
   for (std::int64_t a : alloc) EXPECT_GE(a, 5);  // everyone got warmup+
-  EXPECT_EQ(opts.effective_task_select(), TaskSelectKind::kSwUcbMab);
+  EXPECT_STREQ(sched.selector().name(), "sw-ucb");
 }
 
 TEST_F(SchedulerFixture, GreedySelectDefaultsForAnsor) {
-  SearchOptions opts = tiny_options(PolicyKind::kAnsor);
-  EXPECT_EQ(opts.effective_task_select(), TaskSelectKind::kGreedyGradient);
-  opts.task_select = TaskSelectKind::kRoundRobin;
-  EXPECT_EQ(opts.effective_task_select(), TaskSelectKind::kRoundRobin);
+  SearchOptions opts = tiny_options("Ansor");
+  EXPECT_EQ(opts.effective_task_select_name(), "greedy-gradient");
+  opts.task_select_name = "round-robin";
+  EXPECT_EQ(opts.effective_task_select_name(), "round-robin");
 }
 
 TEST_F(SchedulerFixture, RoundRobinBalancesAllocations) {
-  SearchOptions opts = tiny_options(PolicyKind::kRandom);
-  opts.task_select = TaskSelectKind::kRoundRobin;
+  SearchOptions opts = tiny_options("Random");
+  opts.task_select_name = "round-robin";
   TaskScheduler sched(&net, &hw, opts);
   sched.run(measurer, 90);
   auto alloc = sched.task_allocations();
@@ -140,7 +141,7 @@ TEST_F(SchedulerFixture, RoundRobinBalancesAllocations) {
 }
 
 TEST_F(SchedulerFixture, RunRoundPipelineWarmsUpThenProgresses) {
-  TaskScheduler sched(&net, &hw, tiny_options(PolicyKind::kHarl));
+  TaskScheduler sched(&net, &hw, tiny_options("HARL"));
   // The first num_tasks rounds are the warmup tour, one per task.
   std::vector<bool> warmed(static_cast<std::size_t>(sched.num_tasks()), false);
   for (int i = 0; i < sched.num_tasks(); ++i) {
@@ -165,7 +166,7 @@ TEST(SchedulerDeterminism, ParallelRunBitIdenticalToSerial) {
   hw.noise_sigma = 0.05;  // jitter on: per-trial noise must replay exactly
 
   auto run_one = [&](ThreadPool* pool) {
-    SearchOptions opts = tiny_options(PolicyKind::kHarl);
+    SearchOptions opts = tiny_options("HARL");
     opts.pool = pool;
     CostSimulator sim(hw);
     Measurer measurer(&sim, 9);
@@ -196,7 +197,7 @@ TEST(SchedulerDeterminism, ParallelRunBitIdenticalToSerial) {
 
 TEST_F(SchedulerFixture, CacheHitsKeepAllocationInvariant) {
   measurer.enable_cache(4096);
-  TaskScheduler sched(&net, &hw, tiny_options(PolicyKind::kAnsor));
+  TaskScheduler sched(&net, &hw, tiny_options("Ansor"));
   sched.run(measurer, 60);
   // Cached records commit to tasks but consume no trials; the accounting
   // invariant sum(task trials) == measurer trials must survive that.
@@ -212,7 +213,7 @@ TEST_F(SchedulerFixture, WarmStartRefitKeepsAllocationInvariant) {
   // retrains; trial accounting must stay exact, including with the measure
   // cache replaying records.
   measurer.enable_cache(4096);
-  SearchOptions opts = tiny_options(PolicyKind::kAnsor);
+  SearchOptions opts = tiny_options("Ansor");
   opts.cost_model.refit_period = 4;
   opts.cost_model.warm_trees = 6;
   TaskScheduler sched(&net, &hw, opts);
@@ -232,7 +233,7 @@ TEST(SchedulerDeterminism, WarmStartHistogramRunBitIdenticalToSerial) {
   hw.noise_sigma = 0.05;
 
   auto run_one = [&](ThreadPool* pool) {
-    SearchOptions opts = tiny_options(PolicyKind::kHarl);
+    SearchOptions opts = tiny_options("HARL");
     opts.pool = pool;
     opts.cost_model.refit_period = 3;
     opts.cost_model.gbdt.split_mode = SplitMode::kHistogram;
@@ -263,13 +264,16 @@ TEST(SchedulerDeterminism, WarmStartHistogramRunBitIdenticalToSerial) {
   }
 }
 
-TEST(PolicyKindNames, AllDistinct) {
-  EXPECT_STREQ(policy_kind_name(PolicyKind::kHarl), "HARL");
-  EXPECT_STREQ(policy_kind_name(PolicyKind::kHarlFixedLength), "Hierarchical-RL");
-  EXPECT_STREQ(policy_kind_name(PolicyKind::kAnsor), "Ansor");
-  EXPECT_STREQ(policy_kind_name(PolicyKind::kFlextensor), "Flextensor");
-  EXPECT_STREQ(policy_kind_name(PolicyKind::kAutoTvmSa), "AutoTVM-SA");
-  EXPECT_STREQ(policy_kind_name(PolicyKind::kRandom), "Random");
+TEST_F(SchedulerFixture, EachBuiltinRunsItsNamedPolicyAndDefaultSelector) {
+  const std::pair<const char*, const char*> builtins[] = {
+      {"HARL", "sw-ucb"},           {"Hierarchical-RL", "sw-ucb"},
+      {"Ansor", "greedy-gradient"}, {"Flextensor", "round-robin"},
+      {"AutoTVM-SA", "round-robin"}, {"Random", "round-robin"}};
+  for (const auto& [policy, selector] : builtins) {
+    TaskScheduler sched(&net, &hw, tiny_options(policy));
+    EXPECT_STREQ(sched.policy(0).name(), policy);
+    EXPECT_STREQ(sched.selector().name(), selector) << policy;
+  }
 }
 
 }  // namespace

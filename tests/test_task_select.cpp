@@ -22,8 +22,8 @@ Network small_network() {
   return net;
 }
 
-SearchOptions small_options(PolicyKind kind, std::uint64_t seed = 7) {
-  SearchOptions opts = quick_options(kind, seed);
+SearchOptions small_options(const std::string& policy, std::uint64_t seed = 7) {
+  SearchOptions opts = quick_options(policy, seed);
   opts.harl.stop.initial_tracks = 8;
   opts.harl.stop.min_tracks = 2;
   opts.harl.stop.window = 4;
@@ -35,17 +35,18 @@ SearchOptions small_options(PolicyKind kind, std::uint64_t seed = 7) {
   return opts;
 }
 
-TEST(TaskSelectKindRoundTrip, NameToKindInvertsKindToName) {
-  for (TaskSelectKind kind :
-       {TaskSelectKind::kGreedyGradient, TaskSelectKind::kSwUcbMab,
-        TaskSelectKind::kRoundRobin}) {
-    auto back = task_select_kind_from_name(task_select_kind_name(kind));
-    ASSERT_TRUE(back.has_value()) << task_select_kind_name(kind);
-    EXPECT_EQ(*back, kind);
+TEST(TaskSelectNames, LookupIsCaseInsensitiveToTheCanonicalName) {
+  SearchOptions opts = small_options("Random");
+  for (const char* name : {"greedy-gradient", "sw-ucb", "round-robin"}) {
+    auto selector = TaskSelectRegistry::instance().create(name, 3, opts);
+    ASSERT_NE(selector, nullptr) << name;
+    EXPECT_STREQ(selector->name(), name);
   }
-  EXPECT_EQ(task_select_kind_from_name("SW-UCB"), TaskSelectKind::kSwUcbMab);
-  EXPECT_FALSE(task_select_kind_from_name("no-such-rule").has_value());
-  EXPECT_FALSE(task_select_kind_from_name("").has_value());
+  auto upper = TaskSelectRegistry::instance().create("SW-UCB", 3, opts);
+  ASSERT_NE(upper, nullptr);
+  EXPECT_STREQ(upper->name(), "sw-ucb");
+  EXPECT_EQ(TaskSelectRegistry::instance().create("no-such-rule", 3, opts), nullptr);
+  EXPECT_EQ(TaskSelectRegistry::instance().create("", 3, opts), nullptr);
 }
 
 TEST(TaskSelectRegistryTest, BuiltinsRegistered) {
@@ -72,7 +73,7 @@ TEST(TaskSelectRegistryTest, DuplicateRegistrationRejected) {
 TEST(TaskSelectRegistryTest, UnknownNameThrowsWithRegisteredList) {
   Network net = small_network();
   HardwareConfig hw = HardwareConfig::test_config();
-  SearchOptions opts = small_options(PolicyKind::kRandom);
+  SearchOptions opts = small_options("Random");
   opts.task_select_name = "no-such-rule";
   try {
     TuningSession session(net, hw, opts);
@@ -84,28 +85,29 @@ TEST(TaskSelectRegistryTest, UnknownNameThrowsWithRegisteredList) {
 }
 
 TEST(TaskSelectRegistryTest, EffectiveNameResolution) {
-  SearchOptions opts = small_options(PolicyKind::kHarl);
+  SearchOptions opts = small_options("HARL");
   EXPECT_EQ(opts.effective_task_select_name(), "sw-ucb");
-  opts.policy = PolicyKind::kAnsor;
+  opts.policy_name = "Ansor";  // the policy's registered default follows it
   EXPECT_EQ(opts.effective_task_select_name(), "greedy-gradient");
-  opts.task_select = TaskSelectKind::kRoundRobin;
+  opts.policy_name = "ansor";
+  EXPECT_EQ(opts.effective_task_select_name(), "greedy-gradient");
+  opts.task_select_name = "round-robin";  // an explicit name wins
   EXPECT_EQ(opts.effective_task_select_name(), "round-robin");
-  opts.task_select_name = "sw-ucb";  // name overrides the enum
-  EXPECT_EQ(opts.effective_task_select_name(), "sw-ucb");
 }
 
-/// The enum path and the name path must drive bit-identical runs (the shim
-/// contract): same rounds, same task choices, same latencies.
-TEST(TaskSelectRegistryTest, NameAndEnumRunsBitIdentical) {
+/// The policy's default selector and the same selector named explicitly
+/// (in any case) drive bit-identical runs: same rounds, same task choices,
+/// same latencies.
+TEST(TaskSelectRegistryTest, DefaultAndExplicitNameRunsBitIdentical) {
   Network net = small_network();
   HardwareConfig hw = HardwareConfig::test_config();
 
-  SearchOptions by_enum = small_options(PolicyKind::kHarl, 11);
-  by_enum.task_select = TaskSelectKind::kSwUcbMab;
-  TuningSession a(net, hw, by_enum);
+  SearchOptions by_default = small_options("HARL", 11);
+  ASSERT_TRUE(by_default.task_select_name.empty());
+  TuningSession a(net, hw, by_default);
   a.run(60);
 
-  SearchOptions by_name = small_options(PolicyKind::kHarl, 11);
+  SearchOptions by_name = small_options("HARL", 11);
   by_name.task_select_name = "SW-UCB";
   TuningSession b(net, hw, by_name);
   b.run(60);
@@ -157,7 +159,7 @@ TEST(TaskSelectRegistryTest, ExternalSelectorRunsEndToEnd) {
 
   Network net = small_network();
   HardwareConfig hw = HardwareConfig::test_config();
-  SearchOptions opts = small_options(PolicyKind::kRandom, 17);
+  SearchOptions opts = small_options("Random", 17);
   opts.task_select_name = "fair-share-test";
   TuningSession session(net, hw, opts);
   session.run(60);

@@ -150,7 +150,7 @@ struct ValueDatasetFixture : ::testing::Test {
       return task == graph.name() ? &graph : nullptr;
     };
     // A short real run provides well-formed records to build from.
-    SearchOptions opts = quick_options(PolicyKind::kHarl, 17);
+    SearchOptions opts = quick_options("HARL", 17);
     opts.measures_per_round = 6;
     TuningSession session(graph, hw, opts);
     RecordLogger logger;
@@ -247,7 +247,7 @@ struct GuidedFixture : ValueDatasetFixture {
   ~GuidedFixture() override { std::remove(model_path.c_str()); }
 
   SearchOptions guided_options(ThreadPool* pool) {
-    SearchOptions opts = quick_options(PolicyKind::kHarl, 17);
+    SearchOptions opts = quick_options("HARL", 17);
     opts.measures_per_round = 6;
     opts.value_guide.enabled = true;
     opts.value_guide.model_path = model_path;
@@ -310,7 +310,7 @@ TEST_F(GuidedFixture, GuidedRunResumesBitIdentically) {
 
     // An *unguided* session must not replay guided records: the vm stamp
     // forks the run identity.
-    SearchOptions unguided = quick_options(PolicyKind::kHarl, 17);
+    SearchOptions unguided = quick_options("HARL", 17);
     unguided.measures_per_round = 6;
     unguided.pool = &pool;
     TuningSession other(graph, hw, unguided);
