@@ -454,7 +454,7 @@ int main(int argc, char** argv) {
                   refresher->refreshes(), refresher->records_folded(),
                   published ? "published" : "not published",
                   static_cast<unsigned long long>(
-                      refresher->current_fingerprint()));
+                      refresher->published().fingerprint));
       if (refresher->publish_errors() > 0) {
         std::fprintf(stderr, "experience refresh: %zu publish failure(s); "
                      "the published file is missing or stale\n",

@@ -11,20 +11,6 @@
 
 namespace harl {
 
-namespace {
-
-/// Write `model` to `path` atomically: `save_gbdt` publishes via a temp file
-/// renamed over the target, so a concurrent reader (a sibling session
-/// loading `SearchOptions::experience_model`) sees either the previous
-/// complete model or the new complete model, never a torn file.  With
-/// `fsync` the publish is also durable across power loss.
-bool publish_atomic(const Gbdt& model, const std::string& path, bool fsync,
-                    std::string* error) {
-  return save_gbdt(model, path, error, fsync);
-}
-
-}  // namespace
-
 ExperienceRefresher::ExperienceRefresher(HardwareConfig hw, RefreshOptions opts,
                                          TaskResolver resolver)
     : hw_(std::move(hw)), opts_(std::move(opts)), resolver_(std::move(resolver)) {}
@@ -71,7 +57,6 @@ bool ExperienceRefresher::refresh_locked() {
   rounds_since_refresh_ = 0;
   HarvestStats stats;
   ExperienceDataset ds = store_.build_dataset(hw_, resolver_, &stats);
-  last_rows_ = ds.rows;
   // Gbdt::fit needs a handful of rows to split on; below the floor a swap
   // would trade a working prior for noise.
   if (ds.rows < opts_.min_rows || ds.rows < 4) return false;
@@ -87,9 +72,12 @@ bool ExperienceRefresher::refresh_locked() {
   std::uint64_t fp = gbdt_fingerprint(model);
 
   if (!opts_.publish_path.empty()) {
+    // `save_gbdt` renames a temp file over the target, so a concurrent
+    // reader (a sibling session loading `SearchOptions::experience_model`)
+    // sees the previous or the new complete model, never a torn file.
     auto publish = [&](const std::string& path) {
       std::string error;
-      if (!publish_atomic(model, path, opts_.fsync_publish, &error)) {
+      if (!save_gbdt(model, path, &error, opts_.fsync_publish)) {
         ++publish_errors_;
         HARL_LOG_WARN("experience refresh: publish failed: %s", error.c_str());
         return false;
@@ -108,16 +96,6 @@ bool ExperienceRefresher::refresh_locked() {
   return true;
 }
 
-std::shared_ptr<const Gbdt> ExperienceRefresher::current_model() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return current_;
-}
-
-std::uint64_t ExperienceRefresher::current_fingerprint() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return current_fp_;
-}
-
 ExperienceRefresher::Published ExperienceRefresher::published() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {current_, current_fp_};
@@ -131,11 +109,6 @@ std::size_t ExperienceRefresher::refreshes() const {
 std::size_t ExperienceRefresher::records_folded() const {
   std::lock_guard<std::mutex> lock(mu_);
   return records_folded_;
-}
-
-std::size_t ExperienceRefresher::last_rows() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_rows_;
 }
 
 std::size_t ExperienceRefresher::publish_errors() const {

@@ -82,7 +82,7 @@ class ExperienceRefresher : public TuningCallback {
 
   /// Start refreshing from `base` (e.g. the fleet's pretrained model)
   /// instead of cold.  `fingerprint` 0 = compute it here.  Call before the
-  /// first event; the base also becomes `current_model()` immediately.
+  /// first event; the base is also `published()` immediately.
   void set_base_model(std::shared_ptr<const Gbdt> base,
                       std::uint64_t fingerprint = 0);
 
@@ -95,13 +95,9 @@ class ExperienceRefresher : public TuningCallback {
   bool refresh_now();
 
   /// The latest refreshed model (nullptr before the first refresh of a
-  /// cold refresher) and its fingerprint (0 likewise).  What a sibling
-  /// session constructed now would start from.
-  std::shared_ptr<const Gbdt> current_model() const;
-  std::uint64_t current_fingerprint() const;
-
-  /// One consistent (model, fingerprint) pair — use this when both are
-  /// needed, so a republish between two getters cannot mismatch them.
+  /// cold refresher) and its fingerprint (0 likewise), read as one
+  /// consistent pair.  What a sibling session constructed now would start
+  /// from.
   struct Published {
     std::shared_ptr<const Gbdt> model;
     std::uint64_t fingerprint = 0;
@@ -110,7 +106,6 @@ class ExperienceRefresher : public TuningCallback {
 
   std::size_t refreshes() const;       ///< refits that produced a model
   std::size_t records_folded() const;  ///< records added to the store
-  std::size_t last_rows() const;       ///< dataset rows at the last refit try
   std::size_t publish_errors() const;  ///< failed file publishes (warned)
 
  private:
@@ -127,7 +122,6 @@ class ExperienceRefresher : public TuningCallback {
   int rounds_since_refresh_ = 0;
   std::size_t refreshes_ = 0;
   std::size_t records_folded_ = 0;
-  std::size_t last_rows_ = 0;
   std::size_t publish_errors_ = 0;
 };
 

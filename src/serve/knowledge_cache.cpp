@@ -14,6 +14,19 @@
 
 namespace harl {
 
+namespace {
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h == 0 ? 1 : h;
+}
+
+}  // namespace
+
 const char* serve_tier_name(ServeTier tier) {
   switch (tier) {
     case ServeTier::kL1: return "L1";
@@ -103,7 +116,7 @@ std::size_t KnowledgeCache::insert_log(const std::string& path) {
   return added;
 }
 
-const KnowledgeCache::TaskContext& KnowledgeCache::context_locked(
+const std::shared_ptr<const TaskContext>& KnowledgeCache::context_locked(
     const std::string& network, const Subgraph& task) {
   auto key = std::make_pair(network, task.name());
   auto it = contexts_.find(key);
@@ -121,15 +134,15 @@ const KnowledgeCache::TaskContext& KnowledgeCache::context_locked(
       for (std::size_t i = 0; i < a.axes.size(); ++i) {
         if (a.axes[i].extent != b.axes[i].extent) same_extents = false;
       }
-      if (same_extents) return ctx;
+      if (same_extents) return it->second;
     }
   }
-  auto ctx = std::make_unique<TaskContext>();
+  // Results served from a replaced context keep it alive through their own
+  // reference, so re-registering never frees a sketch in use.
+  auto ctx = std::make_shared<TaskContext>();
   ctx->graph = task;  // owned copy: sketches must never dangle
   ctx->sketches = generate_sketches(ctx->graph);
-  TaskContext& ref = *ctx;
-  contexts_[key] = std::move(ctx);
-  return ref;
+  return contexts_[key] = std::move(ctx);
 }
 
 ServeResult KnowledgeCache::serve(const std::string& network,
@@ -137,7 +150,10 @@ ServeResult KnowledgeCache::serve(const std::string& network,
                                   const HardwareConfig& hw) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.queries;
-  const TaskContext& ctx = context_locked(network, task);
+  ServeResult res;
+  res.context = context_locked(network, task);
+  res.generation = generation_;
+  const TaskContext& ctx = *res.context;
   const int num_unroll = hw.num_unroll_options();
   const Key key{network, task.name(), hw.fingerprint()};
 
@@ -155,7 +171,6 @@ ServeResult KnowledgeCache::serve(const std::string& network,
         continue;
       }
       ++stats_.l1_hits;
-      ServeResult res;
       res.tier = ServeTier::kL1;
       res.schedule = std::move(s);
       res.est_time_ms = rec.time_ms;
@@ -166,29 +181,25 @@ ServeResult KnowledgeCache::serve(const std::string& network,
   }
 
   // ---- L2: scored structural transfer + cost-model re-rank ---------------
-  ServeResult l2 = serve_l2_locked(key, task, hw, ctx);
-  if (l2.tier == ServeTier::kL2) {
+  if (serve_l2_locked(key, task, hw, ctx, &res)) {
     ++stats_.l2_hits;
-    return l2;
+    return res;
   }
 
   // ---- L3: deterministic golden advice (or an honest miss) ---------------
   if (opts_.golden_advice && !ctx.sketches.empty()) {
     ++stats_.l3_hits;
-    ServeResult res;
     res.tier = ServeTier::kL3;
     res.schedule = golden_advice_schedule(ctx.sketches.front(), num_unroll);
     return res;
   }
   ++stats_.misses;
-  return ServeResult{};
+  return res;
 }
 
-ServeResult KnowledgeCache::serve_l2_locked(const Key& query_key,
-                                            const Subgraph& task,
-                                            const HardwareConfig& hw,
-                                            const TaskContext& ctx) {
-  ServeResult miss;
+bool KnowledgeCache::serve_l2_locked(const Key& query_key, const Subgraph& task,
+                                     const HardwareConfig& hw,
+                                     const TaskContext& ctx, ServeResult* res) {
   const std::string sig = task.structure_signature();
   const int anchor = task.anchor_stage();
   const TensorOp& anchor_op = task.stage(anchor).op;
@@ -236,7 +247,7 @@ ServeResult KnowledgeCache::serve_l2_locked(const Key& query_key,
       candidates.push_back({&rec, &entry.serialized[i], score, est});
     }
   }
-  if (candidates.empty()) return miss;
+  if (candidates.empty()) return false;
 
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
@@ -267,7 +278,7 @@ ServeResult KnowledgeCache::serve_l2_locked(const Key& query_key,
     }
     adapted.push_back({&c, std::move(s)});
   }
-  if (adapted.empty()) return miss;
+  if (adapted.empty()) return false;
 
   // Cost-model re-rank: the pretrained GBDT scores the adapted schedules
   // under the *query* hardware; without a model the best-scored match wins.
@@ -288,13 +299,12 @@ ServeResult KnowledgeCache::serve_l2_locked(const Key& query_key,
     }
   }
 
-  ServeResult res;
-  res.tier = ServeTier::kL2;
-  res.schedule = std::move(adapted[winner].schedule);
-  res.est_time_ms = adapted[winner].cand->est_time_ms;
-  res.score = adapted[winner].cand->score;
-  res.record = *adapted[winner].cand->record;
-  return res;
+  res->tier = ServeTier::kL2;
+  res->schedule = std::move(adapted[winner].schedule);
+  res->est_time_ms = adapted[winner].cand->est_time_ms;
+  res->score = adapted[winner].cand->score;
+  res->record = *adapted[winner].cand->record;
+  return true;
 }
 
 std::size_t KnowledgeCache::num_entries() const {
@@ -314,11 +324,6 @@ ServeStats KnowledgeCache::stats() const {
   return stats_;
 }
 
-void KnowledgeCache::reset_stats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = ServeStats{};
-}
-
 std::uint64_t KnowledgeCache::generation() const {
   std::lock_guard<std::mutex> lock(mu_);
   return generation_;
@@ -330,9 +335,8 @@ void KnowledgeCache::note_publish(std::uint64_t fp) {
   ++stats_.refreshes;
 }
 
-void KnowledgeCache::note_reload(std::uint64_t fp) {
+void KnowledgeCache::note_reload() {
   std::lock_guard<std::mutex> lock(mu_);
-  generation_ = fp;
   ++stats_.refreshes;
 }
 
@@ -471,12 +475,13 @@ bool cache_from_json(const std::string& text, KnowledgeCache* out,
     if (out->opts_.top_k < 1) out->opts_.top_k = 1;
     if (out->opts_.rerank_k < 1) out->opts_.rerank_k = 1;
     out->entries_.clear();
-    out->contexts_.clear();
+    const ServeStats kept = out->stats_;  // counters describe serving only
     for (const TuningRecord& rec : records) {
       if (!(rec.time_ms > 0) || !rec.fail.empty()) continue;
       out->insert_locked(rec, record_to_json(rec));
     }
-    out->stats_ = ServeStats{};  // a loaded cache starts with clean counters
+    out->stats_ = kept;
+    out->generation_ = fnv1a(text);
   }
   return true;
 }
@@ -502,19 +507,6 @@ bool load_cache(const std::string& path, KnowledgeCache* out,
   }
   return true;
 }
-
-namespace {
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h == 0 ? 1 : h;
-}
-
-}  // namespace
 
 bool publish_cache(KnowledgeCache& cache, const std::string& path,
                    std::string* error, bool fsync) {

@@ -82,12 +82,26 @@ struct ServeStats {
   std::size_t refreshes = 0;
 };
 
-/// One served answer.  `schedule.sketch` points into the cache's per-task
-/// sketch store and stays valid for the cache's lifetime (or until a task
-/// with the same (network, task) name but different structure re-registers).
+/// One task's entry in the cache's sketch store: serving needs sketches to
+/// rebuild schedules, and regenerating them per query would swamp the O(1)
+/// L1 budget.  The graph is copied so sketches never dangle into
+/// caller-owned subgraphs.  Immutable once built; shared with every
+/// `ServeResult` served from it.
+struct TaskContext {
+  Subgraph graph;
+  std::vector<Sketch> sketches;
+};
+
+/// One served answer.  `schedule.sketch` points into `context`, which the
+/// result co-owns: the schedule stays valid however long the result lives,
+/// across reloads of the cache and re-registrations of the task.
 struct ServeResult {
   ServeTier tier = ServeTier::kMiss;
   Schedule schedule;       ///< sketch == nullptr only for kMiss
+  std::shared_ptr<const TaskContext> context;  ///< owns schedule.sketch
+  /// `KnowledgeCache::generation()` when this answer was served, read under
+  /// the same lock as the entries that answered.
+  std::uint64_t generation = 0;
   double est_time_ms = 0;  ///< logged time (L1) / scaled estimate (L2) / 0 (L3)
   double score = 0;        ///< L2 match score (1.0 for L1, 0 for L3/miss)
   /// The winning source record, verbatim as stored (L1/L2 only): for L1 the
@@ -125,8 +139,6 @@ class KnowledgeCache {
  public:
   explicit KnowledgeCache(KnowledgeCacheOptions opts = {});
 
-  const KnowledgeCacheOptions& options() const { return opts_; }
-
   /// Pretrained cost model for L2 re-ranking (e.g. a `harl_harvest harvest`
   /// output).  Optional: without it L2 picks the best-scored valid candidate.
   void set_model(std::shared_ptr<const Gbdt> model);
@@ -156,10 +168,9 @@ class KnowledgeCache {
   std::size_t num_records() const;
 
   ServeStats stats() const;
-  void reset_stats();
 
   /// The cache generation: the content fingerprint stamped at the last
-  /// publish/reload, 0 until one happens.  Deliberately *not* part of the
+  /// publish or load, 0 until one happens.  Deliberately *not* part of the
   /// serialized cache (contents stay a pure function of the record set);
   /// it identifies which published snapshot a serving process answers from,
   /// so replicas and the primary can be compared generation-for-generation.
@@ -170,9 +181,9 @@ class KnowledgeCache {
   /// `ServeStats::refreshes`.
   void note_publish(std::uint64_t fp);
 
-  /// Record that this cache was just (re)loaded from a published file of
-  /// generation `fp`.  Bumps `ServeStats::refreshes`.
-  void note_reload(std::uint64_t fp);
+  /// Record that a load just brought in a new generation (the load itself
+  /// already stamped `generation()`).  Bumps `ServeStats::refreshes`.
+  void note_reload();
 
  private:
   friend std::string cache_to_json(const KnowledgeCache& cache);
@@ -198,26 +209,21 @@ class KnowledgeCache {
     std::vector<std::string> serialized;
   };
 
-  /// Per-task sketch store: serving needs sketches to rebuild schedules, and
-  /// regenerating them per query would swamp the O(1) L1 budget.  The graph
-  /// is copied so sketches never dangle into caller-owned subgraphs.
-  struct TaskContext {
-    Subgraph graph;
-    std::vector<Sketch> sketches;
-  };
-
   bool insert_locked(const TuningRecord& rec, std::string serialized,
                      bool* displaced_best = nullptr);
-  const TaskContext& context_locked(const std::string& network,
-                                    const Subgraph& task);
-  ServeResult serve_l2_locked(const Key& query_key, const Subgraph& task,
-                              const HardwareConfig& hw,
-                              const TaskContext& ctx);
+  const std::shared_ptr<const TaskContext>& context_locked(
+      const std::string& network, const Subgraph& task);
+  bool serve_l2_locked(const Key& query_key, const Subgraph& task,
+                       const HardwareConfig& hw, const TaskContext& ctx,
+                       ServeResult* res);
 
   mutable std::mutex mu_;
   KnowledgeCacheOptions opts_;
   std::map<Key, Entry> entries_;
-  std::map<std::pair<std::string, std::string>, std::unique_ptr<TaskContext>>
+  /// Per-(network, task) sketch store.  Depends only on the query's
+  /// subgraph, never on the records, so loads leave it alone.
+  std::map<std::pair<std::string, std::string>,
+           std::shared_ptr<const TaskContext>>
       contexts_;
   std::shared_ptr<const Gbdt> model_;
   ServeStats stats_;
@@ -238,10 +244,15 @@ Schedule golden_advice_schedule(const Sketch& sketch, int num_unroll_options);
 /// from the same record set serialize identically.
 std::string cache_to_json(const KnowledgeCache& cache);
 
-/// Parse a document produced by `cache_to_json`.  Returns false and fills
-/// `*error` on malformed JSON, a newer version, or a malformed embedded
-/// record; `*out` is untouched on failure.  The cost model is not part of
-/// the file — call `set_model` after loading.
+/// Parse a document produced by `cache_to_json` into `*out` in place: the
+/// options and entries are replaced and `generation()` is stamped with the
+/// fingerprint of `text`, all under one lock, so a concurrent query sees the
+/// old or the new generation whole.  The sketch store and the serve counters
+/// survive (a load neither zeroes nor counts), and results already served
+/// keep their sketches.  Returns false and fills `*error` on malformed JSON,
+/// a newer version, or a malformed embedded record; `*out` is untouched on
+/// failure.  The cost model is not part of the file — call `set_model` after
+/// loading.
 bool cache_from_json(const std::string& text, KnowledgeCache* out,
                      std::string* error);
 

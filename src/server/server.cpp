@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "cost/gbdt_io.hpp"
 #include "exp/experience.hpp"
@@ -98,20 +99,6 @@ std::int64_t file_stamp(const std::string& path) {
          static_cast<std::int64_t>(st.st_size);
 }
 
-void accumulate(ServeStats* into, const ServeStats& s) {
-  into->queries += s.queries;
-  into->l1_hits += s.l1_hits;
-  into->l2_hits += s.l2_hits;
-  into->l3_hits += s.l3_hits;
-  into->misses += s.misses;
-  into->inserts += s.inserts;
-  into->duplicates += s.duplicates;
-  into->evictions += s.evictions;
-  into->rejected += s.rejected;
-  into->invalidations += s.invalidations;
-  into->refreshes += s.refreshes;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- streaming
@@ -120,7 +107,9 @@ void accumulate(ServeStats* into, const ServeStats& s) {
 /// event lines for the job's subscribers.  Registered through the workload's
 /// callback list, so with the fleet's async bus enabled it runs on the
 /// session's dispatcher thread — a slow subscriber socket never stalls the
-/// tuning hot loop (the bus absorbs, then sheds, the backlog).
+/// tuning hot loop (the bus absorbs, then sheds, the backlog).  It reads
+/// only run-constant scheduler state (task names); every changing value
+/// comes from the event itself.
 class HarlServer::ProgressPublisher : public TuningCallback {
  public:
   ProgressPublisher(HarlServer* server, std::int64_t job)
@@ -128,6 +117,15 @@ class HarlServer::ProgressPublisher : public TuningCallback {
 
   void on_round(const TaskScheduler& scheduler,
                 const RoundEvent& round) override {
+    // A round's `best` goes out just ahead of its `round`, stamped with the
+    // network estimate the round computed right after committing that best.
+    if (best_.has_value()) {
+      if (std::isfinite(round.net_latency_ms)) {
+        best_->net_latency_ms = round.net_latency_ms;
+      }
+      server_->publish_event(job_, *best_, /*terminal=*/false);
+      best_.reset();
+    }
     Response ev;
     ev.ok = true;
     ev.event = "round";
@@ -149,14 +147,13 @@ class HarlServer::ProgressPublisher : public TuningCallback {
     ev.job = job_;
     if (task >= 0) ev.task = scheduler.task(task).graph().name();
     ev.est_time_ms = best.time_ms;
-    double net = scheduler.estimated_latency_ms();
-    if (std::isfinite(net)) ev.net_latency_ms = net;
-    server_->publish_event(job_, ev, /*terminal=*/false);
+    best_ = std::move(ev);  // sent by the on_round that always follows
   }
 
  private:
   HarlServer* server_;
   std::int64_t job_;
+  std::optional<Response> best_;
 };
 
 /// One accepted client socket: its own reader thread, a write mutex so
@@ -289,31 +286,17 @@ void HarlServer::reload_shard(Shard* shard) {
   const std::int64_t cache_stamp = file_stamp(cache_path);
   if (cache_stamp != shard->cache_stamp && cache_stamp != -1) {
     shard->cache_stamp = cache_stamp;
-    // Validate into a scratch cache first: the live cache must keep serving
-    // the old answers unless the new file is complete and sound (the CRC
-    // footer + atomic rename make a torn read impossible, but a reload must
-    // also never tear the *serving* state).
-    KnowledgeCache fresh(shard->cache.options());
+    // Load in place: the file is validated whole before the entries swap
+    // under the cache's lock (a bad file leaves the live cache untouched),
+    // and answers already served keep their sketches.
+    const std::uint64_t before = shard->cache.generation();
     std::string err;
-    if (!load_cache(cache_path, &fresh, &err)) {
+    if (!load_cache(cache_path, &shard->cache, &err)) {
       HARL_LOG_WARN("replica: reload of %s skipped: %s", cache_path.c_str(),
                     err.c_str());
-    } else if (cache_fingerprint(fresh) != shard->cache.generation()) {
-      // Content actually changed: swap the live cache in place.  The second
-      // load lands under the cache's own mutex after full validation, so
-      // queries serve complete old-generation or new-generation answers,
-      // never a mix.  Serve counters survive via the reload base.
-      {
-        std::lock_guard<std::mutex> lk(shard->watch_mu);
-        accumulate(&shard->reload_base, shard->cache.stats());
-      }
-      if (load_cache(cache_path, &shard->cache, &err)) {
-        shard->cache.note_reload(cache_fingerprint(shard->cache));
-        reloads_.fetch_add(1);
-      } else {
-        HARL_LOG_WARN("replica: reload of %s failed: %s", cache_path.c_str(),
-                      err.c_str());
-      }
+    } else if (shard->cache.generation() != before) {
+      shard->cache.note_reload();
+      reloads_.fetch_add(1);
     }
   }
 
@@ -766,7 +749,7 @@ Response HarlServer::handle_query(const Request& req) {
   resp.serve_us = std::chrono::duration<double, std::micro>(t1 - t0).count();
   // The cache generation the answer came from — a replica reply carries the
   // same value as the primary's last publish iff it has caught up.
-  resp.cache_gen = shard->cache.generation();
+  resp.cache_gen = result.generation;
   if (result.tier != ServeTier::kMiss) {
     resp.schedule_fp = result.schedule.fingerprint();
     resp.est_time_ms = result.est_time_ms;
@@ -906,13 +889,7 @@ ServerStats HarlServer::stats() const {
   ServerStats out;
   std::lock_guard<std::mutex> lk(jobs_mu_);
   for (const auto& kv : shards_) {
-    // A replica's live cache loses its counters on every hot reload
-    // (cache_from_json resets them), so fold in the pre-reload base too.
     ServeStats cs = kv.second->cache.stats();
-    {
-      std::lock_guard<std::mutex> wlk(kv.second->watch_mu);
-      accumulate(&cs, kv.second->reload_base);
-    }
     out.queries += static_cast<std::int64_t>(cs.queries);
     out.l1_hits += static_cast<std::int64_t>(cs.l1_hits);
     out.l2_hits += static_cast<std::int64_t>(cs.l2_hits);

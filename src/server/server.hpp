@@ -169,7 +169,9 @@ class HarlServer {
   /// One hardware class: its own knowledge cache, record-log directory, and
   /// fleet pool, so record streams from different machines never mix.  A
   /// replica's shards have no fleet; their caches mirror the primary's
-  /// published files instead of the record logs.
+  /// published files instead of the record logs, loaded in place on each
+  /// republish (queries keep their sketches, and the serve counters carry
+  /// on across loads).
   struct Shard {
     std::string name;
     HardwareConfig hw;
@@ -177,15 +179,10 @@ class HarlServer {
     std::unique_ptr<FleetTuner> fleet;
     std::map<int, std::int64_t> fleet_to_job;  ///< fleet index -> job id
     /// Replica watch state: last seen (mtime, size) of the published cache
-    /// and model files, and the serve counters accumulated across reloads
-    /// (`cache_from_json` resets the live cache's stats on each reload).
-    /// The stamps are touched only by the single reload path; `reload_base`
-    /// is also read by `stats()`, so it gets its own lock (`jobs_mu_` won't
-    /// do — the first reload happens under it, later ones without it).
+    /// and model files.  Touched only by `reload_shard`: first under
+    /// `jobs_mu_` when the shard is created, then by the watch thread.
     std::int64_t cache_stamp = -1;
     std::int64_t model_stamp = -1;
-    std::mutex watch_mu;
-    ServeStats reload_base;
 
     explicit Shard(KnowledgeCacheOptions copts) : cache(copts) {}
   };

@@ -415,7 +415,7 @@ TEST(RefresherTest, RefitsArePeriodicDeterministicAndPublished) {
     EXPECT_GT(refresher.refreshes(), 0u);
     EXPECT_GT(refresher.records_folded(), 0u);
     EXPECT_EQ(refresher.publish_errors(), 0u);
-    return refresher.current_fingerprint();
+    return refresher.published().fingerprint;
   };
 
   std::uint64_t fp1 = run_once();
@@ -442,8 +442,8 @@ TEST(RefresherTest, BelowMinRowsPublishesNothing) {
   HardwareConfig hw = HardwareConfig::xeon_6226r();
   ExperienceRefresher refresher(hw, ropts, test_resolver({tiny_network()}));
   EXPECT_FALSE(refresher.refresh_now());
-  EXPECT_EQ(refresher.current_model(), nullptr);
-  EXPECT_EQ(refresher.current_fingerprint(), 0u);
+  EXPECT_EQ(refresher.published().model, nullptr);
+  EXPECT_EQ(refresher.published().fingerprint, 0u);
   std::FILE* f = std::fopen(model_path.path.c_str(), "rb");
   EXPECT_EQ(f, nullptr);
   if (f != nullptr) std::fclose(f);

@@ -129,8 +129,8 @@ TEST(KnowledgeCache, SaveLoadByteIdentityFuzz) {
     KnowledgeCache loaded;
     std::string error;
     ASSERT_TRUE(cache_from_json(bytes, &loaded, &error)) << error;
+    // The bytes carry the options too ("topk" included).
     EXPECT_EQ(cache_to_json(loaded), bytes) << "seed " << seed;
-    EXPECT_EQ(loaded.options().top_k, opts.top_k);
     EXPECT_EQ(loaded.num_records(), cache.num_records());
 
     TempPath file("test_kcache_" + std::to_string(seed) + ".json");
@@ -259,10 +259,10 @@ TEST(KnowledgeCache, PublishCacheStampsTheGenerationItWrote) {
   EXPECT_EQ(cache.generation(), cache_fingerprint(cache));
   EXPECT_EQ(cache.stats().refreshes, 1u);
 
-  // A reader of the published file lands on the same generation.
+  // A reader of the published file lands on the same generation: the load
+  // itself stamps it.
   KnowledgeCache reader;
   ASSERT_TRUE(load_cache(file.path, &reader, &error)) << error;
-  reader.note_reload(cache_fingerprint(reader));
   EXPECT_EQ(reader.generation(), cache.generation());
 
   // Republish after a change moves the generation.
@@ -270,6 +270,82 @@ TEST(KnowledgeCache, PublishCacheStampsTheGenerationItWrote) {
   cache.insert(synth_record(g, sketches, hw, "net", 1.0, 2));
   ASSERT_TRUE(publish_cache(cache, file.path, &error)) << error;
   EXPECT_NE(cache.generation(), gen1);
+}
+
+TEST(KnowledgeCache, ServedScheduleOutlivesALoadInPlace) {
+  HardwareConfig hw = HardwareConfig::test_config();
+  Subgraph g = make_gemm(64, 64, 64);
+  std::vector<Sketch> sketches = generate_sketches(g);
+  TempPath file_a("test_kcache_inplace_a.json");
+  TempPath file_b("test_kcache_inplace_b.json");
+  std::string error;
+  {
+    KnowledgeCache a;
+    a.insert(synth_record(g, sketches, hw, "net", 2.0, 1));
+    ASSERT_TRUE(save_cache(a, file_a.path, &error)) << error;
+    KnowledgeCache b;
+    b.insert(synth_record(g, sketches, hw, "net", 1.0, 2));
+    ASSERT_TRUE(save_cache(b, file_b.path, &error)) << error;
+  }
+
+  KnowledgeCache cache;
+  ASSERT_TRUE(load_cache(file_a.path, &cache, &error)) << error;
+  ServeResult held = cache.serve("net", g, hw);
+  ASSERT_EQ(held.tier, ServeTier::kL1);
+  const std::uint64_t fp = held.schedule.fingerprint();
+  const std::uint64_t gen_a = cache.generation();
+  EXPECT_EQ(held.generation, gen_a);
+
+  // A different published file lands in the same cache while `held` lives:
+  // its sketch must stay readable (under ASan, a freed sketch fails here).
+  ASSERT_TRUE(load_cache(file_b.path, &cache, &error)) << error;
+  EXPECT_EQ(held.schedule.fingerprint(), fp);
+  EXPECT_EQ(held.generation, gen_a);
+
+  ServeResult fresh = cache.serve("net", g, hw);
+  ASSERT_EQ(fresh.tier, ServeTier::kL1);
+  EXPECT_EQ(fresh.generation, cache.generation());
+  EXPECT_NE(fresh.generation, gen_a);
+  EXPECT_EQ(fresh.est_time_ms, 1.0);
+}
+
+TEST(KnowledgeCache, LoadKeepsCountersAndStampsTheGeneration) {
+  HardwareConfig hw = HardwareConfig::test_config();
+  Subgraph g = make_gemm(64, 64, 64);
+  std::vector<Sketch> sketches = generate_sketches(g);
+  TempPath file("test_kcache_load_counters.json");
+  std::string error;
+  {
+    KnowledgeCache src;
+    src.insert(synth_record(g, sketches, hw, "net", 2.0, 1));
+    src.insert(synth_record(g, sketches, hw, "net", 3.0, 2));
+    ASSERT_TRUE(save_cache(src, file.path, &error)) << error;
+  }
+
+  // A fresh cache still reads all zeros after a load: the load's own
+  // inserts are not counted.
+  KnowledgeCache cache;
+  ASSERT_TRUE(load_cache(file.path, &cache, &error)) << error;
+  ServeStats zero = cache.stats();
+  EXPECT_EQ(zero.queries, 0u);
+  EXPECT_EQ(zero.inserts, 0u);
+  EXPECT_EQ(zero.evictions, 0u);
+  EXPECT_EQ(zero.refreshes, 0u);
+  EXPECT_EQ(cache.generation(), cache_fingerprint(cache));
+
+  // Counters taken while serving survive the next load unchanged.
+  cache.serve("net", g, hw);
+  cache.serve("net", g, hw);
+  ServeStats before = cache.stats();
+  EXPECT_EQ(before.queries, 2u);
+  EXPECT_EQ(before.l1_hits, 2u);
+  ASSERT_TRUE(load_cache(file.path, &cache, &error)) << error;
+  ServeStats after = cache.stats();
+  EXPECT_EQ(after.queries, before.queries);
+  EXPECT_EQ(after.l1_hits, before.l1_hits);
+  EXPECT_EQ(after.inserts, before.inserts);
+  EXPECT_EQ(after.refreshes, before.refreshes);
+  EXPECT_EQ(cache.generation(), cache_fingerprint(cache));
 }
 
 TEST(KnowledgeCache, UpdaterCallbackServesNewBestWithinOnePeriod) {

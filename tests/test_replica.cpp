@@ -6,7 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,13 +102,15 @@ void wait_job_done(HarlServer& primary, std::int64_t job) {
 }
 
 /// Poll a replica until its answer comes from cache generation `gen`.
+/// Every query made is added to `*asked` when given.
 Response wait_for_generation(HarlServer& replica, std::uint64_t gen,
-                             int timeout_s) {
+                             int timeout_s, std::int64_t* asked = nullptr) {
   auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(timeout_s);
   Response r;
   for (;;) {
     r = replica.handle_for_test(query_request());
+    if (asked != nullptr) ++*asked;
     if (r.ok && r.cache_gen == gen) return r;
     if (std::chrono::steady_clock::now() > deadline) return r;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -177,7 +181,8 @@ TEST(Replica, HotReloadsEachRepublishBitIdentically) {
 
   HarlServer replica(replica_options(dir.path));
   ASSERT_TRUE(replica.start(&error)) << error;
-  Response r1 = wait_for_generation(replica, p1.cache_gen, 30);
+  std::int64_t asked = 0;  // queries made to `replica`, across its reloads
+  Response r1 = wait_for_generation(replica, p1.cache_gen, 30, &asked);
   ASSERT_TRUE(r1.ok) << r1.error;
   ASSERT_EQ(r1.cache_gen, p1.cache_gen);
   EXPECT_EQ(r1.tier, "L1");
@@ -192,10 +197,24 @@ TEST(Replica, HotReloadsEachRepublishBitIdentically) {
   Response p2 = primary.handle_for_test(query_request());
   ASSERT_TRUE(p2.ok) << p2.error;
   ASSERT_NE(p2.cache_gen, p1.cache_gen);
-  Response r2 = wait_for_generation(replica, p2.cache_gen, 30);
+  Response r2 = wait_for_generation(replica, p2.cache_gen, 30, &asked);
   ASSERT_EQ(r2.cache_gen, p2.cache_gen);
   EXPECT_EQ(r2.record, p2.record);
   EXPECT_EQ(r2.schedule_fp, p2.schedule_fp);
+
+  // cache_gen names the bytes that answered: a cache loaded from the file
+  // of that generation serves the same record.
+  KnowledgeCache published;
+  ASSERT_TRUE(load_cache(dir.path + "/test/knowledge.cache.json", &published,
+                         &error))
+      << error;
+  ASSERT_EQ(published.generation(), r2.cache_gen);
+  TaskResolver resolve = make_builtin_resolver();
+  const Subgraph* gemm = resolve("bert_b1", "GEMM-I");
+  ASSERT_NE(gemm, nullptr);
+  ServeResult from_bytes =
+      published.serve("bert_b1", *gemm, HardwareConfig::test_config());
+  EXPECT_EQ(record_to_json(from_bytes.record), r2.record);
 
   Request stats;
   stats.type = RequestType::kStats;
@@ -203,6 +222,8 @@ TEST(Replica, HotReloadsEachRepublishBitIdentically) {
   ASSERT_TRUE(s.ok);
   EXPECT_EQ(s.role, "replica");
   EXPECT_GE(s.reloads, 2);  // initial publish + the republish
+  // Serve counters carry on across in-place reloads: none is lost.
+  EXPECT_EQ(s.queries, asked);
 
   // Restart chaos: a fresh replica over the same state dir answers the
   // current generation immediately (first-query load, before any watch).
@@ -309,21 +330,34 @@ TEST(Replica, SoakConcurrentQueriesDuringTuningWithReplicaRestart) {
   std::atomic<bool> stop{false};
   std::atomic<int> violations{0};
   std::atomic<std::int64_t> answers{0};
+  // Replicas answer only from published bytes, so one generation answers
+  // with one record on every replica: a reply pairing an answer with a
+  // generation loaded after it would break this.
+  std::mutex gen_mu;
+  std::map<std::uint64_t, std::string> record_of_gen;
+  auto gen_matches = [&](const Response& r) {
+    std::lock_guard<std::mutex> lk(gen_mu);
+    auto [it, first] = record_of_gen.emplace(r.cache_gen, r.record);
+    return first || it->second == r.record;
+  };
+  std::int64_t asked_a = 0;  // queries made to replica_a, across its reloads
   // replica_b is killed and reborn mid-soak.  Its querier takes b_mu around
   // every query, so the restart (which also takes b_mu) can never destroy
   // an instance with a query in flight.
   std::mutex b_mu;
   HarlServer* b_live = replica_b.get();
 
-  auto hammer = [&](auto&& acquire) {
+  auto hammer = [&](bool replica, std::int64_t* asked, auto&& acquire) {
     double best_seen = -1;
     while (!stop.load()) {
       bool regressed = false;
       bool malformed = false;
       bool answered = acquire([&](HarlServer& server) {
         Response r = server.handle_for_test(query_request());
+        if (asked != nullptr) ++*asked;
         if (!r.ok || r.tier != "L1") return false;
-        if (r.record.empty() || r.schedule_fp == 0 || !(r.est_time_ms > 0)) {
+        if (r.record.empty() || r.schedule_fp == 0 || !(r.est_time_ms > 0) ||
+            (replica && !gen_matches(r))) {
           malformed = true;
           return false;
         }
@@ -348,13 +382,13 @@ TEST(Replica, SoakConcurrentQueriesDuringTuningWithReplicaRestart) {
 
   std::vector<std::thread> threads;
   threads.emplace_back([&] {
-    hammer([&](auto&& fn) { return fn(primary); });
+    hammer(false, nullptr, [&](auto&& fn) { return fn(primary); });
   });
   threads.emplace_back([&] {
-    hammer([&](auto&& fn) { return fn(*replica_a); });
+    hammer(true, &asked_a, [&](auto&& fn) { return fn(*replica_a); });
   });
   threads.emplace_back([&] {
-    hammer([&](auto&& fn) {
+    hammer(true, nullptr, [&](auto&& fn) {
       std::lock_guard<std::mutex> lk(b_mu);
       if (b_live == nullptr) return false;
       return fn(*b_live);
@@ -395,7 +429,7 @@ TEST(Replica, SoakConcurrentQueriesDuringTuningWithReplicaRestart) {
   ASSERT_TRUE(pf.ok) << pf.error;
   ASSERT_EQ(pf.tier, "L1");
   ASSERT_NE(pf.cache_gen, 0u);
-  Response ra = wait_for_generation(*replica_a, pf.cache_gen, 30);
+  Response ra = wait_for_generation(*replica_a, pf.cache_gen, 30, &asked_a);
   Response rb = wait_for_generation(*replica_b, pf.cache_gen, 30);
   EXPECT_EQ(ra.cache_gen, pf.cache_gen);
   EXPECT_EQ(rb.cache_gen, pf.cache_gen);
@@ -403,6 +437,14 @@ TEST(Replica, SoakConcurrentQueriesDuringTuningWithReplicaRestart) {
   EXPECT_EQ(rb.record, pf.record);
   EXPECT_EQ(ra.schedule_fp, pf.schedule_fp);
   EXPECT_EQ(rb.schedule_fp, pf.schedule_fp);
+
+  // Every query replica_a took is counted, however many reloads it crossed.
+  Request stats;
+  stats.type = RequestType::kStats;
+  Response sa = replica_a->handle_for_test(stats);
+  ASSERT_TRUE(sa.ok) << sa.error;
+  EXPECT_GT(sa.reloads, 1);
+  EXPECT_EQ(sa.queries, asked_a);
 
   replica_a->shutdown();
   replica_b->shutdown();

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -545,17 +546,32 @@ TEST(Server, PolicyJobsKeepTheBaseOptionsSelector) {
   ASSERT_TRUE(cli.recv_line(&stats_line, &error)) << error;
   gate.open = true;
   std::vector<std::string> served;
+  // Each `best` goes out just ahead of its round's `round` event, carrying
+  // the network estimate that round computed.
+  int bests = 0;
+  std::optional<double> best_net;
   for (;;) {
     std::string line;
     ASSERT_TRUE(cli.recv_line(&line, &error, 120000)) << error;
     Response ev;
     ASSERT_TRUE(response_from_json(line, &ev, &error)) << error;
+    if (best_net.has_value()) {
+      ASSERT_EQ(ev.event, "round") << "a best event without its round";
+      EXPECT_EQ(ev.net_latency_ms, *best_net);
+      best_net.reset();
+    }
+    if (ev.event == "best") {
+      ++bests;
+      best_net = ev.net_latency_ms;
+      continue;
+    }
     if (ev.event == "done") break;
     if (ev.event != "round") continue;
     ASSERT_EQ(ev.round, static_cast<std::int64_t>(served.size()))
         << "the subscription missed the job's first rounds";
     served.push_back(ev.task);
   }
+  EXPECT_GT(bests, 0);
   server.shutdown();
 
   // The same job standalone: Ansor under the base options' sw-ucb selector
