@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cost/gbdt_reference.hpp"
+#include "reference/gbdt_reference.hpp"
 
 namespace {
 

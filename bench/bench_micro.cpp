@@ -107,34 +107,70 @@ void BM_CostModelRefit256(benchmark::State& state) {
 }
 BENCHMARK(BM_CostModelRefit256);
 
-void BM_PpoAct(benchmark::State& state) {
-  Subgraph g = make_gemm(1024, 1024, 1024);
-  auto sketches = generate_sketches(g);
-  ActionSpace space(sketches[0], hw().num_unroll_options());
-  FeatureExtractor fx(&hw());
-  Rng rng(7);
-  Schedule s = random_schedule(sketches[0], hw().num_unroll_options(), rng);
-  std::vector<double> obs = rl_observation(fx, space, s);
-  auto sizes = space.head_sizes();
-  PpoAgent agent(static_cast<int>(obs.size()),
-                 std::vector<int>(sizes.begin(), sizes.end()), PpoConfig{}, 1);
+/// The PPO shapes HARL runs on a GEMM task: the observation width, head
+/// sizes and tile mask of the first sketch, and quick_options' PpoConfig
+/// (minibatch 32, 2 epochs).
+struct PpoShape {
+  std::vector<double> obs;
   std::vector<bool> mask;
-  space.tile_action_mask(s, &mask);
-  for (auto _ : state) benchmark::DoNotOptimize(agent.act(obs, mask, rng));
+  std::vector<int> heads;
+  PpoConfig cfg = quick_options("HARL", 1).harl.ppo;
+
+  explicit PpoShape(Rng& rng) {
+    Subgraph g = make_gemm(1024, 1024, 1024);
+    auto sketches = generate_sketches(g);
+    ActionSpace space(sketches[0], hw().num_unroll_options());
+    FeatureExtractor fx(&hw());
+    Schedule s = random_schedule(sketches[0], hw().num_unroll_options(), rng);
+    obs = rl_observation(fx, space, s);
+    space.tile_action_mask(s, &mask);
+    auto sizes = space.head_sizes();
+    heads.assign(sizes.begin(), sizes.end());
+  }
+};
+
+void BM_PpoAct(benchmark::State& state) {
+  Rng rng(7);
+  PpoShape shape(rng);
+  PpoAgent agent(static_cast<int>(shape.obs.size()), shape.heads, shape.cfg, 1);
+  for (auto _ : state) benchmark::DoNotOptimize(agent.act(shape.obs, shape.mask, rng));
 }
 BENCHMARK(BM_PpoAct);
 
+/// One window step of HARL's batched act over `range(0)` alive tracks.
+void BM_PpoActBatch(benchmark::State& state) {
+  Rng rng(7);
+  PpoShape shape(rng);
+  PpoAgent agent(static_cast<int>(shape.obs.size()), shape.heads, shape.cfg, 1);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<double>> obs(n, shape.obs);
+  for (std::size_t k = 0; k < n; ++k) obs[k][k % obs[k].size()] += 0.01 * static_cast<double>(k);
+  std::vector<const std::vector<double>*> rows;
+  for (const std::vector<double>& o : obs) rows.push_back(&o);
+  std::vector<std::vector<bool>> masks(n, shape.mask);
+  std::vector<PpoAgent::ActResult> out;
+  for (auto _ : state) {
+    agent.act_batch(rows, masks, rng, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PpoActBatch)->Arg(32)->Arg(16)->Arg(8);
+
 void BM_PpoTrainMinibatch(benchmark::State& state) {
-  PpoConfig cfg;
-  cfg.minibatch_size = 64;
-  cfg.update_epochs = 1;
-  PpoAgent agent(32, {16, 3, 3, 3}, cfg, 2);
   Rng rng(8);
+  PpoShape shape(rng);
+  PpoAgent agent(static_cast<int>(shape.obs.size()), shape.heads, shape.cfg, 2);
   for (int i = 0; i < 512; ++i) {
     PpoTransition t;
-    t.obs.assign(32, rng.next_double());
-    t.actions = {rng.next_int(0, 15), rng.next_int(0, 2), rng.next_int(0, 2),
-                 rng.next_int(0, 2)};
+    t.obs = shape.obs;
+    t.obs[static_cast<std::size_t>(i) % t.obs.size()] += rng.next_double();
+    for (int h : shape.heads) t.actions.push_back(rng.next_int(0, h - 1));
+    while (!shape.mask[static_cast<std::size_t>(t.actions[0])]) {
+      t.actions[0] = rng.next_int(0, shape.heads[0] - 1);
+    }
+    t.head0_mask = shape.mask;
     t.logp = -2.0;
     t.reward = rng.next_normal();
     agent.store(std::move(t));

@@ -51,6 +51,12 @@ struct PpoTransition {
 /// lines 14-17) and applies the clipped surrogate objective with an entropy
 /// bonus; the critic minimizes MSE against the one-step TD target
 /// r + gamma * V(s') (Eq. 6).
+///
+/// Every pass runs both nets over a block of rows (a single act is a block
+/// of one).  The blocks and the nets' workspaces are scratch of the calling
+/// thread, shared by every agent on it: a HARL policy keeps one agent per
+/// sketch but runs one at a time, so per-agent scratch would only add memory.
+/// No call carries scratch state over to the next.
 class PpoAgent {
  public:
   PpoAgent(int obs_dim, std::vector<int> head_sizes, PpoConfig cfg,
@@ -64,10 +70,22 @@ class PpoAgent {
 
   /// Sample a joint action. `head0_mask` may be empty (no masking).
   ActResult act(const std::vector<double>& obs, const std::vector<bool>& head0_mask,
-                Rng& rng) const;
+                Rng& rng);
+
+  /// act() for every row at once: one actor pass and one critic pass over
+  /// all rows, then sampling row by row, in row order, from `rng` — so the
+  /// results and the draws equal sequential act() calls.  `head0_masks[k]`
+  /// belongs to `obs[k]` and may be empty.
+  void act_batch(const std::vector<const std::vector<double>*>& obs,
+                 const std::vector<std::vector<bool>>& head0_masks, Rng& rng,
+                 std::vector<ActResult>* out);
 
   /// Critic estimate V(obs).
-  double value(const std::vector<double>& obs) const;
+  double value(const std::vector<double>& obs);
+
+  /// value() of every row in one critic pass.
+  void values(const std::vector<const std::vector<double>*>& obs,
+              std::vector<double>* out);
 
   /// One-step advantage A = r + gamma*V(s') - V(s) (paper Eq. 6).
   double advantage(double reward, double value, double next_value) const {
@@ -78,7 +96,8 @@ class PpoAgent {
   std::size_t buffer_size() const { return buffer_.size(); }
 
   /// Run `update_epochs` minibatch updates (no-op while the buffer is
-  /// smaller than one minibatch). Returns the mean actor objective.
+  /// smaller than one minibatch). Returns the mean actor objective.  Each
+  /// minibatch is one actor and one critic forward/backward over its rows.
   double train(Rng& rng);
 
   const PpoConfig& config() const { return cfg_; }
@@ -86,12 +105,15 @@ class PpoAgent {
   const std::vector<int>& head_sizes() const { return head_sizes_; }
 
  private:
-  /// Split the actor's flat logits into per-head vectors.
-  std::vector<std::vector<double>> split_heads(const std::vector<double>& logits) const;
+  /// Samples one joint action from the logits row `logits`, using `probs`
+  /// (num_logits_ long) as scratch.
+  void sample_row(const double* logits, const std::vector<bool>& head0_mask, Rng& rng,
+                  double* probs, ActResult* res) const;
 
   PpoConfig cfg_;
   int obs_dim_;
   std::vector<int> head_sizes_;
+  int num_logits_ = 0;  ///< sum of head_sizes_
   Mlp actor_;
   Mlp critic_;
   std::vector<PpoTransition> buffer_;

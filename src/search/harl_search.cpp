@@ -123,15 +123,20 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
   // hundreds of times per round; Schedule copies are the dominant churn).
   std::vector<Schedule> next_scheds;
   std::vector<std::vector<double>> next_obs;
+  std::vector<const std::vector<double>*> obs_rows;
   std::vector<PpoAgent::ActResult> acts;
   std::vector<std::vector<bool>> masks;
   std::vector<double> next_scores;
+  std::vector<double> next_values;
   std::vector<int> valid;
   std::vector<double> advantages;
 
   bool episode_done = false;
   while (!episode_done) {
-    // One lambda-window of modification steps on all alive tracks.
+    // One lambda-window of modification steps on all alive tracks.  Each
+    // step acts for every alive track in one batched actor/critic pass.  The
+    // masks, moves and observations draw nothing from rng_, so sampling the
+    // tracks in order draws exactly what one act() per track drew.
     for (int w = 0; w < cfg_.stop.window && !episode_done; ++w) {
       next_scheds.resize(alive.size());
       next_obs.resize(alive.size());
@@ -139,12 +144,15 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
       masks.resize(alive.size());
 
       for (std::size_t k = 0; k < alive.size(); ++k) {
-        Track& t = tracks[static_cast<std::size_t>(alive[k])];
-        space.tile_action_mask(t.sched, &masks[k]);
-        if (cfg_.use_rl_policy) {
-          acts[k] = agent_ptr->act(t.obs, masks[k], rng_);
-        } else {
-          // RL ablation: uniform random valid sub-action per head.
+        space.tile_action_mask(tracks[static_cast<std::size_t>(alive[k])].sched, &masks[k]);
+      }
+      if (cfg_.use_rl_policy) {
+        obs_rows.clear();
+        for (int id : alive) obs_rows.push_back(&tracks[static_cast<std::size_t>(id)].obs);
+        agent_ptr->act_batch(obs_rows, masks, rng_, &acts);
+      } else {
+        // RL ablation: uniform random valid sub-action per head.
+        for (std::size_t k = 0; k < alive.size(); ++k) {
           valid.clear();
           for (std::size_t a = 0; a < masks[k].size(); ++a) {
             if (masks[k][a]) valid.push_back(static_cast<int>(a));
@@ -156,7 +164,9 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
           acts[k].logp = 0;
           acts[k].value = 0;
         }
-        next_scheds[k] = t.sched;  // copy-assign into the reused buffer
+      }
+      for (std::size_t k = 0; k < alive.size(); ++k) {
+        next_scheds[k] = tracks[static_cast<std::size_t>(alive[k])].sched;  // reused buffer
         JointAction ja{};
         for (int h = 0; h < kNumActionHeads; ++h) ja[static_cast<std::size_t>(h)] =
             acts[k].actions[static_cast<std::size_t>(h)];
@@ -165,13 +175,18 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
       }
 
       next_scores = cost.predict_batch(next_scheds);
+      if (cfg_.use_rl_policy) {
+        obs_rows.clear();
+        for (const std::vector<double>& o : next_obs) obs_rows.push_back(&o);
+        agent_ptr->values(obs_rows, &next_values);
+      }
 
       for (std::size_t k = 0; k < alive.size(); ++k) {
         Track& t = tracks[static_cast<std::size_t>(alive[k])];
         double reward =
             (next_scores[k] - t.score) / std::max(t.score, XgbCostModel::kMinScore);
         if (cfg_.use_rl_policy) {
-          double next_value = agent_ptr->value(next_obs[k]);
+          double next_value = next_values[k];
           t.advantage = agent_ptr->advantage(reward, acts[k].value, next_value);
 
           PpoTransition tr;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "rl/ppo.hpp"
 
@@ -162,6 +163,89 @@ TEST(Ppo, ValueLearnsReturns) {
     if (i % 4 == 0) agent.train(rng);
   }
   EXPECT_NEAR(agent.value(obs), 1.0, 0.2);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Rows of a 13-wide observation with head sizes {9, 3, 3, 3}: every third
+/// row carries a head-0 mask, the rest none.
+struct Rows {
+  std::vector<std::vector<double>> obs;
+  std::vector<std::vector<bool>> masks;
+  std::vector<const std::vector<double>*> ptrs;
+};
+
+Rows make_rows(int n, Rng& rng) {
+  Rows r;
+  for (int k = 0; k < n; ++k) {
+    std::vector<double> o;
+    for (int i = 0; i < 13; ++i) o.push_back(rng.next_range(-2, 2));
+    r.obs.push_back(std::move(o));
+    std::vector<bool> m;
+    if (k % 3 == 0) {
+      for (int a = 0; a < 9; ++a) m.push_back(a % 2 == 0 || a == 7);
+    }
+    r.masks.push_back(std::move(m));
+  }
+  for (const std::vector<double>& o : r.obs) r.ptrs.push_back(&o);
+  return r;
+}
+
+/// Trains both agents identically so the comparison runs on updated weights
+/// as well as on the initial ones.
+void train_both(PpoAgent* a, PpoAgent* b, Rng* data) {
+  for (int i = 0; i < 40; ++i) {
+    PpoTransition t;
+    for (int d = 0; d < 13; ++d) t.obs.push_back(data->next_range(-1, 1));
+    t.actions = {data->next_int(0, 8), data->next_int(0, 2), data->next_int(0, 2),
+                 data->next_int(0, 2)};
+    t.logp = -3.0;
+    t.reward = data->next_normal();
+    a->store(t);
+    b->store(std::move(t));
+  }
+  Rng ra(31), rb(31);
+  a->train(ra);
+  b->train(rb);
+}
+
+TEST(Ppo, ActBatchEqualsSequentialActs) {
+  PpoConfig cfg = small_config();
+  cfg.minibatch_size = 16;
+  PpoAgent batched(13, {9, 3, 3, 3}, cfg, 12), sequential(13, {9, 3, 3, 3}, cfg, 12);
+  Rng data(13);
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) train_both(&batched, &sequential, &data);
+    for (int n : {1, 3, 8, 33}) {
+      SCOPED_TRACE(::testing::Message() << "round " << round << " n=" << n);
+      Rows rows = make_rows(n, data);
+      Rng rng_a(100 + n), rng_b(100 + n);
+      std::vector<PpoAgent::ActResult> got;
+      batched.act_batch(rows.ptrs, rows.masks, rng_a, &got);
+      ASSERT_EQ(got.size(), static_cast<std::size_t>(n));
+      for (int k = 0; k < n; ++k) {
+        PpoAgent::ActResult want = sequential.act(rows.obs[k], rows.masks[k], rng_b);
+        EXPECT_EQ(got[k].actions, want.actions) << "row " << k;
+        EXPECT_TRUE(same_bits(got[k].logp, want.logp)) << "row " << k;
+        EXPECT_TRUE(same_bits(got[k].value, want.value)) << "row " << k;
+      }
+      EXPECT_EQ(rng_a.next_u32(), rng_b.next_u32());
+    }
+  }
+}
+
+TEST(Ppo, ValuesEqualsPerRowValue) {
+  PpoAgent agent(13, {9, 3, 3, 3}, small_config(), 14);
+  Rng data(15);
+  for (int n : {1, 3, 8, 33}) {
+    Rows rows = make_rows(n, data);
+    std::vector<double> got;
+    agent.values(rows.ptrs, &got);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) {
+      EXPECT_TRUE(same_bits(got[k], agent.value(rows.obs[k]))) << "n=" << n << " row " << k;
+    }
+  }
 }
 
 }  // namespace
