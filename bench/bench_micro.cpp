@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+
 #include "core/harl.hpp"
 
 namespace harl {
@@ -129,11 +131,17 @@ struct PpoShape {
   }
 };
 
+/// Names the MLP kernel variant the PPO numbers were taken with.
+void label_kernel(benchmark::State& state) {
+  state.SetLabel(detail::mlp_kernel_name(detail::mlp_kernel()));
+}
+
 void BM_PpoAct(benchmark::State& state) {
   Rng rng(7);
   PpoShape shape(rng);
   PpoAgent agent(static_cast<int>(shape.obs.size()), shape.heads, shape.cfg, 1);
   for (auto _ : state) benchmark::DoNotOptimize(agent.act(shape.obs, shape.mask, rng));
+  label_kernel(state);
 }
 BENCHMARK(BM_PpoAct);
 
@@ -155,6 +163,7 @@ void BM_PpoActBatch(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  label_kernel(state);
 }
 BENCHMARK(BM_PpoActBatch)->Arg(32)->Arg(16)->Arg(8);
 
@@ -176,8 +185,32 @@ void BM_PpoTrainMinibatch(benchmark::State& state) {
     agent.store(std::move(t));
   }
   for (auto _ : state) benchmark::DoNotOptimize(agent.train(rng));
+  label_kernel(state);
 }
 BENCHMARK(BM_PpoTrainMinibatch);
+
+/// One Adam step of a net shaped as the actor of BM_PpoTrainMinibatch, on a
+/// fixed gradient.
+void BM_MlpAdamStep(benchmark::State& state) {
+  Rng rng(12);
+  PpoShape shape(rng);
+  const int hidden = shape.cfg.hidden_dim;
+  Mlp net({static_cast<int>(shape.obs.size()), hidden, hidden,
+           std::accumulate(shape.heads.begin(), shape.heads.end(), 0)},
+          rng);
+  Mlp::Workspace ws;
+  net.zero_grad(ws);
+  std::vector<double> dout(static_cast<std::size_t>(net.out_dim()), 0.01);
+  net.forward(shape.obs.data(), 1, ws);
+  net.backward(dout.data(), ws);
+  for (auto _ : state) {
+    net.adam_step(1e-4, ws);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(net.num_parameters()));
+  label_kernel(state);
+}
+BENCHMARK(BM_MlpAdamStep);
 
 void BM_SwUcbSelectUpdate(benchmark::State& state) {
   SwUcb bandit(24);  // ResNet-50 task count

@@ -1,6 +1,7 @@
 #include "nn/mlp.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 
@@ -9,6 +10,18 @@
 namespace harl {
 
 namespace {
+
+// Every kernel below is one plain C++ body compiled twice: at the baseline ISA
+// and, on x86 with a GNU compiler, as an AVX2 twin.  Only the vector width
+// across independent elements differs; see "Numerics" on Mlp for why the bits
+// cannot.
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define HARL_MLP_AVX2 1
+#define HARL_KERNEL_BODY __attribute__((always_inline)) inline
+#else
+#define HARL_MLP_AVX2 0
+#define HARL_KERNEL_BODY inline
+#endif
 
 /// For every block row r < n: acc_r[j] += coef_r[t] * rows[t][j] for
 /// t = 0, 1, ..., depth-1 in that order, for every j < len.  Each acc_r[j]
@@ -28,7 +41,7 @@ struct RowBlock {
   std::ptrdiff_t row_stride;
 };
 
-void accumulate_rows(const RowBlock& b, int n, int len, int depth) {
+HARL_KERNEL_BODY void accumulate_rows_body(const RowBlock& b, int n, int len, int depth) {
   int t = 0;
   for (; t + 4 <= depth; t += 4) {
     const double* r0 = b.rows + t * b.row_stride;
@@ -60,11 +73,115 @@ void accumulate_rows(const RowBlock& b, int n, int len, int depth) {
   }
 }
 
+/// One Adam update of `count` parameters:
+///   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g;
+///   p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+/// Run in chunks of three loops so that the divisions vectorize: loop A
+/// updates the moments and stages v / bc2, loop B takes its square root one
+/// element at a time (std::sqrt sets errno, which keeps it scalar), loop C
+/// applies the step.  Every element evaluates the expression above unchanged.
+struct AdamBlock {
+  double* p;
+  const double* g;
+  double* m;
+  double* v;
+  std::size_t count;
+  double lr, bc1, bc2;
+};
+
+constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
+
+HARL_KERNEL_BODY void adam_update_body(const AdamBlock& a) {
+  constexpr std::size_t kChunk = 256;
+  double root[kChunk];
+  for (std::size_t c0 = 0; c0 < a.count; c0 += kChunk) {
+    const std::size_t len = std::min(kChunk, a.count - c0);
+    double* p = a.p + c0;
+    const double* g = a.g + c0;
+    double* m = a.m + c0;
+    double* v = a.v + c0;
+    for (std::size_t i = 0; i < len; ++i) {
+      m[i] = kBeta1 * m[i] + (1 - kBeta1) * g[i];
+      v[i] = kBeta2 * v[i] + (1 - kBeta2) * g[i] * g[i];
+      root[i] = v[i] / a.bc2;
+    }
+    for (std::size_t i = 0; i < len; ++i) root[i] = std::sqrt(root[i]);
+    for (std::size_t i = 0; i < len; ++i) p[i] -= a.lr * (m[i] / a.bc1) / (root[i] + kEps);
+  }
+}
+
+/// One instruction-set variant of every kernel.
+struct Kernels {
+  detail::MlpKernel kind;
+  void (*accumulate_rows)(const RowBlock&, int n, int len, int depth);
+  void (*adam_update)(const AdamBlock&);
+};
+
+void accumulate_rows_baseline(const RowBlock& b, int n, int len, int depth) {
+  accumulate_rows_body(b, n, len, depth);
+}
+void adam_update_baseline(const AdamBlock& a) { adam_update_body(a); }
+constexpr Kernels kBaselineKernels{detail::MlpKernel::kBaseline, accumulate_rows_baseline,
+                                   adam_update_baseline};
+
+#if HARL_MLP_AVX2
+// AVX2 alone, never a target that implies FMA (avx512f, x86-64-v3): the
+// compiler would contract acc += c * row into a fused multiply-add.
+__attribute__((target("avx2"))) void accumulate_rows_avx2(const RowBlock& b, int n, int len,
+                                                          int depth) {
+  accumulate_rows_body(b, n, len, depth);
+}
+__attribute__((target("avx2"))) void adam_update_avx2(const AdamBlock& a) {
+  adam_update_body(a);
+}
+constexpr Kernels kAvx2Kernels{detail::MlpKernel::kAvx2, accumulate_rows_avx2,
+                               adam_update_avx2};
+#endif
+
+const Kernels* kernels_for(detail::MlpKernel k) {
+#if HARL_MLP_AVX2
+  if (k == detail::MlpKernel::kAvx2) {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? &kAvx2Kernels : nullptr;
+  }
+#endif
+  return k == detail::MlpKernel::kBaseline ? &kBaselineKernels : nullptr;
+}
+
+/// The variant every pass uses: the widest this CPU runs, picked once.
+std::atomic<const Kernels*>& active_kernels() {
+  static std::atomic<const Kernels*> active{[] {
+    const Kernels* avx2 = kernels_for(detail::MlpKernel::kAvx2);
+    return avx2 != nullptr ? avx2 : &kBaselineKernels;
+  }()};
+  return active;
+}
+
+const Kernels& kernels() { return *active_kernels().load(std::memory_order_relaxed); }
+
 void grow(std::vector<double>& buf, std::size_t n) {
   if (buf.size() < n) buf.resize(n);
 }
 
 }  // namespace
+
+namespace detail {
+
+bool mlp_kernel_supported(MlpKernel k) { return kernels_for(k) != nullptr; }
+
+MlpKernel mlp_kernel() { return kernels().kind; }
+
+MlpKernel set_mlp_kernel(MlpKernel k) {
+  const Kernels* next = kernels_for(k);
+  HARL_CHECK(next != nullptr, "set_mlp_kernel: this CPU cannot run the requested variant");
+  return active_kernels().exchange(next, std::memory_order_relaxed)->kind;
+}
+
+const char* mlp_kernel_name(MlpKernel k) {
+  return k == MlpKernel::kAvx2 ? "avx2" : "baseline";
+}
+
+}  // namespace detail
 
 Mlp::Mlp(const std::vector<int>& dims, Rng& rng) : dims_(dims) {
   HARL_CHECK(dims.size() >= 2, "Mlp needs at least input and output dims");
@@ -96,6 +213,7 @@ const double* Mlp::forward(const double* x, int n, Workspace& ws) const {
   for (int d : dims_) width += static_cast<std::size_t>(d);
   grow(ws.acts_, width * static_cast<std::size_t>(n));
   ws.rows_ = n;
+  const Kernels& kern = kernels();
   double* cur = ws.acts_.data();
   std::copy(x, x + static_cast<std::size_t>(n) * static_cast<std::size_t>(in_dim()), cur);
   for (int l = 0; l < num_layers(); ++l) {
@@ -107,7 +225,7 @@ const double* Mlp::forward(const double* x, int n, Workspace& ws) const {
     for (int r = 0; r < n; ++r) {
       std::copy(bias, bias + out, next + static_cast<std::size_t>(r) * out);
     }
-    accumulate_rows({next, out, cur, in, 1, w, out}, n, out, in);
+    kern.accumulate_rows({next, out, cur, in, 1, w, out}, n, out, in);
     if (l + 1 < num_layers()) {
       double* end = next + static_cast<std::size_t>(n) * static_cast<std::size_t>(out);
       for (double* v = next; v != end; ++v) *v = std::tanh(*v);
@@ -128,6 +246,7 @@ void Mlp::backward(const double* dout, Workspace& ws) const {
   grow(ws.grad_[0], max_hidden * rows);
   grow(ws.grad_[1], max_hidden * rows);
   grow(ws.weight_rows_, 4 * max_hidden);
+  const Kernels& kern = kernels();
 
   // Start of the top layer's input activations in ws.acts_.
   std::size_t act_off = 0;
@@ -149,7 +268,7 @@ void Mlp::backward(const double* dout, Workspace& ws) const {
       const double* ds = d + static_cast<std::size_t>(s) * out;
       for (int o = 0; o < out; ++o) gb[o] += ds[o];
     }
-    accumulate_rows({gw, out, x, 1, in, d, out}, in, out, n);
+    kern.accumulate_rows({gw, out, x, 1, in, d, out}, in, out, n);
     if (l == 0) break;
 
     // dx[s][i] = +0 + sum over o ascending of d[s][o] * w[i][o].  Four
@@ -166,7 +285,7 @@ void Mlp::backward(const double* dout, Workspace& ws) const {
           wo[static_cast<std::size_t>(t) * in + i] = w[static_cast<std::size_t>(i) * out + o0 + t];
         }
       }
-      accumulate_rows({dx, in, d + o0, out, 1, wo, in}, n, in, k);
+      kern.accumulate_rows({dx, in, d + o0, out, 1, wo, in}, n, in, k);
     }
 
     // Undo the tanh of the layer below: dpre = dact * (1 - act^2).
@@ -183,18 +302,10 @@ void Mlp::zero_grad(Workspace& ws) const { ws.grads_.assign(params_.size(), 0.0)
 void Mlp::adam_step(double lr, const Workspace& ws) {
   HARL_CHECK(ws.grads_.size() == params_.size(), "Mlp::adam_step: gradients of another net");
   ++adam_t_;
-  const double beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
-  const double bc1 = 1.0 - std::pow(beta1, adam_t_);
-  const double bc2 = 1.0 - std::pow(beta2, adam_t_);
-  double* p = params_.data();
-  const double* g = ws.grads_.data();
-  double* m = adam_m_.data();
-  double* v = adam_v_.data();
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    m[i] = beta1 * m[i] + (1 - beta1) * g[i];
-    v[i] = beta2 * v[i] + (1 - beta2) * g[i] * g[i];
-    p[i] -= lr * (m[i] / bc1) / (std::sqrt(v[i] / bc2) + eps);
-  }
+  const double bc1 = 1.0 - std::pow(kBeta1, adam_t_);
+  const double bc2 = 1.0 - std::pow(kBeta2, adam_t_);
+  kernels().adam_update({params_.data(), ws.grads_.data(), adam_m_.data(), adam_v_.data(),
+                         params_.size(), lr, bc1, bc2});
 }
 
 double Mlp::grad_norm(const Workspace& ws) const {

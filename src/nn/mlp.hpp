@@ -23,7 +23,7 @@ namespace harl {
 /// All parameters live in one flat buffer: per layer, the weights stored
 /// input-major ([in x out], so one input's weights to every output are
 /// contiguous), then the `out` biases.  Gradients and Adam moments share that
-/// layout, so an Adam step is one loop over the buffer.  A training step is
+/// layout, so an Adam step is one pass over the buffer.  A training step is
 /// zero_grad(ws), forward and backward over the minibatch, adam_step(ws).
 ///
 /// Numerics (the reason batching changes no bit of any result):
@@ -34,10 +34,19 @@ namespace harl {
 ///   - the input gradient starts at +0 and adds over outputs ascending;
 ///   - the Adam update is the textbook per-element expression.
 /// The kernels block four terms of one sum per pass and vectorize across
-/// independent outputs, so no sum is reassociated; no multiply-add is fused
-/// (no -march/-mfma: the x86-64 baseline ISA has no FMA; no fast-math).  Zero output gradients are added, not skipped; for finite
-/// activations and weights that leaves every accumulator's bits unchanged (an
-/// accumulator that starts at +0 never becomes -0).
+/// independent outputs, so no sum is reassociated.  Dispatch rule: each
+/// kernel is one plain C++ body (no intrinsics) compiled twice, at the
+/// baseline ISA and as a target("avx2") twin picked once per process from
+/// the CPU (x86 with a GNU compiler; elsewhere only the baseline exists).
+/// Only the vector width across independent elements differs, so both
+/// variants produce the same bits.  No multiply-add may be fused: the
+/// baseline ISA and AVX2 have no FMA, and no wider target is allowed, since
+/// avx512f and x86-64-v3 imply FMA and the compiler then contracts
+/// acc += c * x; nor -march or fast-math.  libm's std::tanh stays, so the
+/// bits are those of the machine's libm variant.  Zero output gradients are
+/// added, not skipped; for finite activations and weights that leaves every
+/// accumulator's bits unchanged (an accumulator that starts at +0 never
+/// becomes -0).
 class Mlp {
  public:
   /// Scratch for batched passes: every layer's activations of the last
@@ -105,5 +114,21 @@ class Mlp {
   std::vector<double> params_, adam_m_, adam_v_;
   int adam_t_ = 0;
 };
+
+namespace detail {
+
+/// The instruction-set variants of the MLP and Adam kernels (see "Numerics"
+/// on Mlp).  Every pass uses the widest variant the CPU runs; tests and
+/// benchmarks switch variants to check and label each one.
+enum class MlpKernel { kBaseline, kAvx2 };
+
+bool mlp_kernel_supported(MlpKernel k);
+MlpKernel mlp_kernel();
+/// Makes every later pass, on every thread, use `k` (which must be
+/// supported).  Returns the variant it replaces.
+MlpKernel set_mlp_kernel(MlpKernel k);
+const char* mlp_kernel_name(MlpKernel k);
+
+}  // namespace detail
 
 }  // namespace harl

@@ -86,20 +86,21 @@ void PpoAgent::sample_row(const double* logits, const std::vector<bool>& head0_m
 }
 
 PpoAgent::ActResult PpoAgent::act(const std::vector<double>& obs,
-                                  const std::vector<bool>& head0_mask, Rng& rng) {
+                                  const std::vector<bool>& head0_mask, Rng& rng,
+                                  PpoKnownValues known) {
   HARL_CHECK(obs.size() == static_cast<std::size_t>(obs_dim_),
              "PpoAgent: observation width mismatch");
   Scratch& s = scratch();
   double* probs = grown(s.probs, static_cast<std::size_t>(num_logits_));
   ActResult res;
   sample_row(actor_.forward(obs.data(), 1, s.ws), head0_mask, rng, probs, &res);
-  res.value = critic_.forward(obs.data(), 1, s.ws)[0];
+  res.value = fresh(known) ? known.v[0] : critic_.forward(obs.data(), 1, s.ws)[0];
   return res;
 }
 
 void PpoAgent::act_batch(const std::vector<const std::vector<double>*>& obs,
                          const std::vector<std::vector<bool>>& head0_masks, Rng& rng,
-                         std::vector<ActResult>* out) {
+                         std::vector<ActResult>* out, PpoKnownValues known) {
   HARL_CHECK(head0_masks.size() >= obs.size(), "act_batch: one mask per row");
   const int n = static_cast<int>(obs.size());
   Scratch& s = scratch();
@@ -111,7 +112,7 @@ void PpoAgent::act_batch(const std::vector<const std::vector<double>*>& obs,
     sample_row(logits + k * static_cast<std::size_t>(num_logits_), head0_masks[k], rng,
                probs, &(*out)[k]);
   }
-  const double* vals = critic_.forward(block, n, s.ws);
+  const double* vals = fresh(known) ? known.v : critic_.forward(block, n, s.ws);
   for (std::size_t k = 0; k < obs.size(); ++k) (*out)[k].value = vals[k];
 }
 
@@ -227,6 +228,7 @@ double PpoAgent::train(Rng& rng) {
     }
     critic_.backward(dvalues, s.ws);
     critic_.adam_step(cfg_.lr_critic, s.ws);
+    ++critic_updates_;
     num_updates += cfg_.minibatch_size;
   }
   return num_updates > 0 ? mean_objective / num_updates : 0.0;

@@ -39,6 +39,16 @@ struct PpoTransition {
   std::vector<bool> head0_mask;      ///< legality mask of head 0 (may be empty)
 };
 
+/// Critic values already computed by PpoAgent::values()/value(): `v[k]` is
+/// V(obs[k]) of the rows about to be acted on, computed when
+/// critic_updates() read `at`.  An act uses them in place of a critic pass
+/// while the critic has not been updated since (bit-equal by construction),
+/// and runs the critic otherwise.
+struct PpoKnownValues {
+  const double* v = nullptr;
+  std::uint64_t at = 0;
+};
+
 /// Proximal Policy Optimization agent with a multi-head categorical policy.
 ///
 /// The actor trunk emits one logit block per modification-type head (Table 3:
@@ -70,15 +80,15 @@ class PpoAgent {
 
   /// Sample a joint action. `head0_mask` may be empty (no masking).
   ActResult act(const std::vector<double>& obs, const std::vector<bool>& head0_mask,
-                Rng& rng);
+                Rng& rng, PpoKnownValues known = {});
 
-  /// act() for every row at once: one actor pass and one critic pass over
-  /// all rows, then sampling row by row, in row order, from `rng` — so the
-  /// results and the draws equal sequential act() calls.  `head0_masks[k]`
-  /// belongs to `obs[k]` and may be empty.
+  /// act() for every row at once: one actor pass and (unless `known` is
+  /// fresh) one critic pass over all rows, then sampling row by row, in row
+  /// order, from `rng` — so the results and the draws equal sequential act()
+  /// calls.  `head0_masks[k]` belongs to `obs[k]` and may be empty.
   void act_batch(const std::vector<const std::vector<double>*>& obs,
                  const std::vector<std::vector<bool>>& head0_masks, Rng& rng,
-                 std::vector<ActResult>* out);
+                 std::vector<ActResult>* out, PpoKnownValues known = {});
 
   /// Critic estimate V(obs).
   double value(const std::vector<double>& obs);
@@ -100,6 +110,10 @@ class PpoAgent {
   /// minibatch is one actor and one critic forward/backward over its rows.
   double train(Rng& rng);
 
+  /// Critic updates so far: values computed while this reads the same number
+  /// are still the critic's (see PpoKnownValues).
+  std::uint64_t critic_updates() const { return critic_updates_; }
+
   const PpoConfig& config() const { return cfg_; }
   int obs_dim() const { return obs_dim_; }
   const std::vector<int>& head_sizes() const { return head_sizes_; }
@@ -110,6 +124,10 @@ class PpoAgent {
   void sample_row(const double* logits, const std::vector<bool>& head0_mask, Rng& rng,
                   double* probs, ActResult* res) const;
 
+  bool fresh(PpoKnownValues known) const {
+    return known.v != nullptr && known.at == critic_updates_;
+  }
+
   PpoConfig cfg_;
   int obs_dim_;
   std::vector<int> head_sizes_;
@@ -118,6 +136,7 @@ class PpoAgent {
   Mlp critic_;
   std::vector<PpoTransition> buffer_;
   std::size_t buffer_next_ = 0;  ///< ring-buffer write cursor
+  std::uint64_t critic_updates_ = 0;
 };
 
 }  // namespace harl

@@ -31,10 +31,14 @@ std::vector<MeasuredRecord> FlextensorSearchPolicy::tune_round(Measurer& measure
 
     double best_time = cur_time;
     int best_step = 0;
+    // V(obs) from the previous step's value(next_obs): act() reuses it unless
+    // the train() in between updated the critic.
+    double obs_value = 0;
+    PpoKnownValues known;
     for (int step = 1; step <= cfg_.track_length; ++step) {
       std::vector<bool> mask;
       space.tile_action_mask(cur, &mask);
-      PpoAgent::ActResult act = agent_->act(obs, mask, rng_);
+      PpoAgent::ActResult act = agent_->act(obs, mask, rng_, known);
       Schedule next = cur;
       JointAction ja{};
       for (int h = 0; h < kNumActionHeads; ++h) {
@@ -49,6 +53,8 @@ std::vector<MeasuredRecord> FlextensorSearchPolicy::tune_round(Measurer& measure
       // Reward: measured relative speedup (Flextensor learns from hardware).
       double reward = (cur_time - next_time) / std::max(next_time, 1e-9);
       double next_value = agent_->value(next_obs);
+      obs_value = next_value;
+      known = {&obs_value, agent_->critic_updates()};
 
       PpoTransition tr;
       tr.obs = std::move(obs);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/logging.hpp"
 
@@ -15,6 +16,7 @@ struct Track {
   std::vector<double> obs;
   double score = 0;       ///< cost-model score of the current state
   double advantage = 0;   ///< latest one-step advantage (Eq. 6)
+  double value = 0;       ///< critic value of `obs` from the last window step
   int steps = 0;
   int best_step = 0;
   double best_score = -1;
@@ -128,15 +130,22 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
   std::vector<std::vector<bool>> masks;
   std::vector<double> next_scores;
   std::vector<double> next_values;
+  std::vector<double> known_values;
   std::vector<int> valid;
   std::vector<double> advantages;
+
+  // The critic update the tracks' `value`s were computed under; unset until
+  // the first window step computes them.
+  std::optional<std::uint64_t> values_at;
 
   bool episode_done = false;
   while (!episode_done) {
     // One lambda-window of modification steps on all alive tracks.  Each
     // step acts for every alive track in one batched actor/critic pass.  The
     // masks, moves and observations draw nothing from rng_, so sampling the
-    // tracks in order draws exactly what one act() per track drew.
+    // tracks in order draws exactly what one act() per track drew.  The
+    // critic pass is skipped when no train() has updated the critic since the
+    // last step scored these observations.
     for (int w = 0; w < cfg_.stop.window && !episode_done; ++w) {
       next_scheds.resize(alive.size());
       next_obs.resize(alive.size());
@@ -148,8 +157,14 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
       }
       if (cfg_.use_rl_policy) {
         obs_rows.clear();
-        for (int id : alive) obs_rows.push_back(&tracks[static_cast<std::size_t>(id)].obs);
-        agent_ptr->act_batch(obs_rows, masks, rng_, &acts);
+        known_values.clear();
+        for (int id : alive) {
+          obs_rows.push_back(&tracks[static_cast<std::size_t>(id)].obs);
+          known_values.push_back(tracks[static_cast<std::size_t>(id)].value);
+        }
+        PpoKnownValues known;
+        if (values_at) known = {known_values.data(), *values_at};
+        agent_ptr->act_batch(obs_rows, masks, rng_, &acts, known);
       } else {
         // RL ablation: uniform random valid sub-action per head.
         for (std::size_t k = 0; k < alive.size(); ++k) {
@@ -179,6 +194,7 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
         obs_rows.clear();
         for (const std::vector<double>& o : next_obs) obs_rows.push_back(&o);
         agent_ptr->values(obs_rows, &next_values);
+        values_at = agent_ptr->critic_updates();
       }
 
       for (std::size_t k = 0; k < alive.size(); ++k) {
@@ -188,6 +204,7 @@ std::vector<MeasuredRecord> HarlSearchPolicy::tune_round(Measurer& measurer,
         if (cfg_.use_rl_policy) {
           double next_value = next_values[k];
           t.advantage = agent_ptr->advantage(reward, acts[k].value, next_value);
+          t.value = next_value;
 
           PpoTransition tr;
           tr.obs = std::move(t.obs);

@@ -106,10 +106,11 @@ TEST(Mlp, BackwardAccumulatesAcrossSamples) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-equality against the per-sample reference.  The dims hit every tile
-// tail of the kernels (4-wide and 8-wide blocks of rows and columns plus
-// their 2- and 1-wide remainders), and the batch sizes cover a single row,
-// a partial row block and a block plus one.
+// Bit-equality against the per-sample reference, on every kernel variant.
+// The dims hit every tail of the kernels (sum depths that are not a multiple
+// of the four-term block, lengths that are not a multiple of any vector
+// width, Adam buffers shorter and longer than one chunk), and the batch sizes
+// cover a single row, a partial block and a block plus one.
 
 bool same_bits(const double* a, const double* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
@@ -197,11 +198,41 @@ void expect_matches_reference(const std::vector<int>& dims, int n) {
   }
 }
 
-TEST(MlpBatched, MatchesPerSampleReferenceBitForBit) {
+/// Runs every pass on one kernel variant while in scope.
+class KernelScope {
+ public:
+  explicit KernelScope(detail::MlpKernel k) : saved_(detail::set_mlp_kernel(k)) {}
+  ~KernelScope() { detail::set_mlp_kernel(saved_); }
+  KernelScope(const KernelScope&) = delete;
+  KernelScope& operator=(const KernelScope&) = delete;
+
+ private:
+  detail::MlpKernel saved_;
+};
+
+/// Every dims/batch pair against the reference on kernel variant `k`: the
+/// dims include a single-output head (a one-wide j loop everywhere in the
+/// output layer).
+void expect_variant_matches_reference(detail::MlpKernel k) {
+  KernelScope scope(k);
+  ASSERT_EQ(detail::mlp_kernel(), k);
   for (const std::vector<int>& dims :
-       {std::vector<int>{5, 7, 3}, std::vector<int>{61, 64, 64, 110}}) {
+       {std::vector<int>{5, 7, 3}, std::vector<int>{61, 64, 64, 110},
+        std::vector<int>{61, 64, 64, 1}}) {
     for (int n : {1, 3, 8, 33}) expect_matches_reference(dims, n);
   }
+}
+
+TEST(MlpKernels, BaselineMatchesPerSampleReferenceBitForBit) {
+  ASSERT_TRUE(detail::mlp_kernel_supported(detail::MlpKernel::kBaseline));
+  expect_variant_matches_reference(detail::MlpKernel::kBaseline);
+}
+
+TEST(MlpKernels, Avx2MatchesPerSampleReferenceBitForBit) {
+  if (!detail::mlp_kernel_supported(detail::MlpKernel::kAvx2)) {
+    GTEST_SKIP() << "this CPU or compiler has no AVX2 variant";
+  }
+  expect_variant_matches_reference(detail::MlpKernel::kAvx2);
 }
 
 TEST(MlpBatched, BatchOfNEqualsNBatchesOfOne) {

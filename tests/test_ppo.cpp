@@ -191,16 +191,22 @@ Rows make_rows(int n, Rng& rng) {
   return r;
 }
 
+/// A transition of the 13-wide, {9, 3, 3, 3}-headed agents of these tests.
+PpoTransition random_transition(Rng* data) {
+  PpoTransition t;
+  for (int d = 0; d < 13; ++d) t.obs.push_back(data->next_range(-1, 1));
+  t.actions = {data->next_int(0, 8), data->next_int(0, 2), data->next_int(0, 2),
+               data->next_int(0, 2)};
+  t.logp = -3.0;
+  t.reward = data->next_normal();
+  return t;
+}
+
 /// Trains both agents identically so the comparison runs on updated weights
 /// as well as on the initial ones.
 void train_both(PpoAgent* a, PpoAgent* b, Rng* data) {
   for (int i = 0; i < 40; ++i) {
-    PpoTransition t;
-    for (int d = 0; d < 13; ++d) t.obs.push_back(data->next_range(-1, 1));
-    t.actions = {data->next_int(0, 8), data->next_int(0, 2), data->next_int(0, 2),
-                 data->next_int(0, 2)};
-    t.logp = -3.0;
-    t.reward = data->next_normal();
+    PpoTransition t = random_transition(data);
     a->store(t);
     b->store(std::move(t));
   }
@@ -246,6 +252,72 @@ TEST(Ppo, ValuesEqualsPerRowValue) {
       EXPECT_TRUE(same_bits(got[k], agent.value(rows.obs[k]))) << "n=" << n << " row " << k;
     }
   }
+}
+
+TEST(Ppo, ActWithKnownValuesEqualsComputingThem) {
+  PpoConfig cfg = small_config();
+  cfg.minibatch_size = 16;
+  PpoAgent reusing(13, {9, 3, 3, 3}, cfg, 16), computing(13, {9, 3, 3, 3}, cfg, 16);
+  Rng data(17);
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) train_both(&reusing, &computing, &data);
+    for (int n : {1, 3, 8, 33}) {
+      SCOPED_TRACE(::testing::Message() << "round " << round << " n=" << n);
+      Rows rows = make_rows(n, data);
+      std::vector<double> vals;
+      reusing.values(rows.ptrs, &vals);
+      const PpoKnownValues known{vals.data(), reusing.critic_updates()};
+      Rng rng_a(200 + n), rng_b(200 + n);
+      std::vector<PpoAgent::ActResult> got, want;
+      reusing.act_batch(rows.ptrs, rows.masks, rng_a, &got, known);
+      computing.act_batch(rows.ptrs, rows.masks, rng_b, &want);
+      ASSERT_EQ(got.size(), want.size());
+      for (int k = 0; k < n; ++k) {
+        EXPECT_EQ(got[k].actions, want[k].actions) << "row " << k;
+        EXPECT_TRUE(same_bits(got[k].logp, want[k].logp)) << "row " << k;
+        EXPECT_TRUE(same_bits(got[k].value, want[k].value)) << "row " << k;
+      }
+      PpoAgent::ActResult one = reusing.act(rows.obs[0], rows.masks[0], rng_a, known);
+      PpoAgent::ActResult one_want = computing.act(rows.obs[0], rows.masks[0], rng_b);
+      EXPECT_EQ(one.actions, one_want.actions);
+      EXPECT_TRUE(same_bits(one.logp, one_want.logp));
+      EXPECT_TRUE(same_bits(one.value, one_want.value));
+      EXPECT_EQ(rng_a.next_u32(), rng_b.next_u32());
+    }
+  }
+}
+
+TEST(Ppo, KnownValuesSkipTheCriticUntilItUpdates) {
+  PpoConfig cfg = small_config();
+  cfg.minibatch_size = 16;
+  PpoAgent agent(13, {9, 3, 3, 3}, cfg, 18);
+  Rng data(19), rng(20);
+  Rows rows = make_rows(5, data);
+  // Values the critic would never produce: seeing them back proves the
+  // critic pass was skipped.
+  const std::vector<double> marked = {11, 12, 13, 14, 15};
+  std::vector<PpoAgent::ActResult> got;
+
+  const std::uint64_t before = agent.critic_updates();
+  EXPECT_EQ(agent.train(rng), 0.0);  // under one minibatch: no update
+  EXPECT_EQ(agent.critic_updates(), before);
+  agent.act_batch(rows.ptrs, rows.masks, rng, &got, {marked.data(), before});
+  for (int k = 0; k < 5; ++k) EXPECT_EQ(got[k].value, marked[k]) << "row " << k;
+
+  std::vector<double> stale;
+  agent.values(rows.ptrs, &stale);
+  for (int i = 0; i < 40; ++i) agent.store(random_transition(&data));
+  agent.train(rng);
+  EXPECT_GT(agent.critic_updates(), before);
+  agent.act_batch(rows.ptrs, rows.masks, rng, &got, {stale.data(), before});
+  bool any_changed = false;
+  for (int k = 0; k < 5; ++k) {
+    EXPECT_TRUE(same_bits(got[k].value, agent.value(rows.obs[k]))) << "row " << k;
+    any_changed = any_changed || !same_bits(got[k].value, stale[k]);
+  }
+  EXPECT_TRUE(any_changed) << "train() left every value unchanged";
+  EXPECT_TRUE(same_bits(agent.act(rows.obs[1], rows.masks[1], rng, {marked.data(), before}).value,
+                        agent.value(rows.obs[1])));
 }
 
 }  // namespace
